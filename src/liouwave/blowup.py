@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functionals import _centered_log_integral
 from .rhs import CouplingConfig
 from .surface import SpectralGrid
 
@@ -142,12 +143,14 @@ def concentration_window(rho: float, step: float) -> int:
 def blowup_monitor(state, cfg: CouplingConfig, thresholds: MonitorThresholds):
     """Check the blow-up signatures and, when tripped, locate concentration.
 
-    Triggers when any component's gradient norm or any log integral of the
-    equation's measures exceeds the thresholds.  The number of points per
-    measure comes from the coupling windows: floor(rho_i / 8 pi) for the
-    scalar families, floor(rho_i / 4 pi) per component for coupled systems
-    (critical endpoints land in the higher window).  Returns
-    (status, reports) with status "quiet" or "alarm".
+    Triggers when any component's gradient norm or any centred log integral
+    log int w e^{sign*a*(u - ubar)} of the equation's measures (those with
+    nonzero rho; weights and the asymmetry exponent included) exceeds the
+    thresholds; constant states, which are stationary, stay quiet.  The
+    number of points per measure comes from the coupling windows:
+    floor(rho_i / 8 pi) for the scalar families, floor(rho_i / 4 pi) per
+    component for coupled systems (critical endpoints land in the higher
+    window).  Returns (status, reports) with status "quiet" or "alarm".
 
     The underlying dichotomy concerns a sequence of times approaching the
     singularity; sampled snapshots cannot distinguish subsequential from
@@ -157,27 +160,29 @@ def blowup_monitor(state, cfg: CouplingConfig, thresholds: MonitorThresholds):
     g = state.grid
     n = state.ncomp
     grads = [g.seminorm_h1(state.u[i]) for i in range(n)]
-    jobs = []  # (sign, exponent field, window count, component)
+    # measures weight * e^{sign*scale*u}:
+    # (sign, scale, field, weight, rho, window step, component)
+    jobs = []
     if cfg.family == "toda":
         for j in range(n):
-            mj = concentration_window(cfg.rho[j], 4.0 * np.pi)
-            jobs.append((+1, state.u[j], mj, j))
+            jobs.append((+1, 1.0, state.u[j], cfg.weight(j), cfg.rho[j], 4.0 * np.pi, j))
     else:
         rho1, rho2 = cfg.rho_pair()
-        m1 = concentration_window(rho1, 8.0 * np.pi)
-        m2 = concentration_window(rho2, 8.0 * np.pi)
-        jobs.append((+1, state.u[0], m1, 0))
-        jobs.append((-1, cfg.a * state.u[0], m2, 0))
+        jobs.append((+1, 1.0, state.u[0], cfg.weight(0), rho1, 8.0 * np.pi, 0))
+        jobs.append((-1, cfg.a, state.u[0], cfg.weight(1), rho2, 8.0 * np.pi, 0))
+    jobs = [job for job in jobs if job[4] != 0.0]
 
-    logints = [g.log_integral_exp(expo, 1.0) for (_, expo, _, _) in jobs]
-    if max(grads) < thresholds.grad_l2 and max(logints) < thresholds.log_int:
+    logints = [_centered_log_integral(g, u, sign, w, scale)
+               for (sign, scale, u, w, _, _, _) in jobs]
+    if max(grads) < thresholds.grad_l2 and max(logints, default=-np.inf) < thresholds.log_int:
         return "quiet", []
 
     reports = []
-    for sign, expo, m, comp in jobs:
+    for sign, scale, u, w, rho, step, comp in jobs:
+        m = concentration_window(rho, step)
         if m < 1:
             continue
-        dens, _ = g.normalized_exp(expo, 1.0)
+        dens, _ = g.normalized_exp(scale * u, sign, w)
         query = ConcentrationQuery(m=m, r=thresholds.r, eps=thresholds.eps,
                                    delta=thresholds.delta)
         reports.append(detect_concentration(g, dens, query, sign=sign, component=comp))

@@ -1,45 +1,32 @@
-"""Backend selection for the hot elementwise kernels.
+"""Numpy kernels of the hot elementwise loops.
 
-The per-mode step update (gautschi_combine) has a compiled single-pass
-implementation, preferred at import time; the numpy fallback takes over when
-the extension is missing or LIOUWAVE_PURE_PYTHON is set to a non-empty value
-other than "0".  `use_backend` switches lanes explicitly, which the
-equivalence tests and the benchmark rely on.  The shifted-exponential kernel
-is numpy in both lanes (vectorized exp is already the fastest option here).
-Call sites must go through the module attributes
-(``kernels.gautschi_combine``) so a switch is seen everywhere.
+`gautschi_combine` is the per-mode trigonometric update of the stepper; the
+step, `linear_flow` and the Picard map all run through it on half spectra.
+`exp_shifted_sum` is the shifted exponential behind every log-sum-exp
+integral.  Call sites go through the module attributes
+(``kernels.gautschi_combine``), so a wrapper installed on the module is seen
+everywhere.
 """
 
-import os
+import numpy as np
 
-from . import _kernels_py
-
-try:
-    from . import _kernels as _ext
-except ImportError:
-    _ext = None
-
-HAVE_EXT = _ext is not None
-
-exp_shifted_sum = _kernels_py.exp_shifted_sum
-gautschi_combine = _kernels_py.gautschi_combine
 backend = "python"
 
 
-def use_backend(name):
-    """Select the kernel lane: "ext" (compiled) or "python" (numpy)."""
-    global gautschi_combine, backend
-    if name == "ext":
-        if _ext is None:
-            raise RuntimeError("compiled kernel extension is not available")
-        gautschi_combine = _ext.gautschi_combine
-    elif name == "python":
-        gautschi_combine = _kernels_py.gautschi_combine
-    else:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    backend = name
+def exp_shifted_sum(g, m, out):
+    """out[i,j] = exp(g[i,j] - m); returns the sum of out."""
+    np.subtract(g, m, out=out)
+    np.exp(out, out=out)
+    return float(out.sum())
 
 
-_force_py = os.environ.get("LIOUWAVE_PURE_PYTHON", "")
-if HAVE_EXT and _force_py in ("", "0"):
-    use_backend("ext")
+def gautschi_combine(cosw, sincw, qw, wsinw, uh, vh, fh, uh_out, vh_out):
+    """Per-mode update of the second-order oscillator with frozen forcing:
+
+        uh_out = cos*uh + sinc*vh + q*fh
+        vh_out = cos*vh - wsin*uh + sinc*fh
+
+    Output buffers must not alias the inputs.
+    """
+    uh_out[...] = cosw * uh + sincw * vh + qw * fh
+    vh_out[...] = cosw * vh - wsinw * uh + sincw * fh

@@ -7,6 +7,10 @@ frozen-forcing stepper on the same time grid; the measured sup-distance
 ratios between successive iterates estimate the contraction factor, which
 shrinks roughly linearly with T.  Every iterate preserves the component
 averages of the initial data.
+
+Paths are held as half (rfft) spectra, and F runs through the propagator's
+per-mode update (`StepTables`, `_combine`, `_forcing_half`), the same one
+the stepper and `linear_flow` use.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import WaveState
-from .propagator import StepTables, _combine
+from .propagator import StepTables, _combine, _forcing_half
 from .rhs import CouplingConfig, rhs_fields
 
 
@@ -46,50 +50,63 @@ class _Path:
     __slots__ = ("uh", "vh")
 
     def __init__(self, uh, vh):
-        self.uh = uh  # (m+1, ncomp, n1, n2) complex
+        self.uh = uh  # (m+1, ncomp, n1, n2//2+1) complex half spectra
         self.vh = vh
 
 
 def _path_distance(grid, a: _Path, b: _Path) -> float:
-    """sup over nodes of (H1 distance of u) + (L2 distance of v)."""
+    """sup over nodes of (H1 distance of u) + (L2 distance of v).
+
+    Parseval on the half spectrum: columns k2 = 0 and k2 = n2/2 are their
+    own Hermitian mirror and count once, every other column twice."""
     norm = grid.area / (grid.n1 * grid.n2) ** 2
-    h1w = 1.0 + grid.lap_symbol
+    ncol = grid.n2 // 2 + 1
+    colw = np.full(ncol, 2.0)
+    colw[0] = colw[-1] = 1.0
+    h1w = (1.0 + grid.lap_symbol[:, :ncol]) * colw
     du = a.uh - b.uh
     dv = a.vh - b.vh
     h1 = np.sqrt(norm * (h1w * (du.real**2 + du.imag**2)).sum(axis=(1, 2, 3)))
-    l2 = np.sqrt(norm * (dv.real**2 + dv.imag**2).sum(axis=(1, 2, 3)))
+    l2 = np.sqrt(norm * (colw * (dv.real**2 + dv.imag**2)).sum(axis=(1, 2, 3)))
     return float((h1 + l2).max())
 
 
-def _free_path(grid, u0h, v0h, tables, m):
+def _initial_spectra(state: WaveState):
+    g = state.grid
+    u0h = np.stack([g.to_spectral_half(state.u[i]) for i in range(state.ncomp)])
+    v0h = np.stack([g.to_spectral_half(state.v[i]) for i in range(state.ncomp)])
+    return u0h, v0h
+
+
+def _propagate(u0h, v0h, tables, m, forcing) -> _Path:
+    """Nodes 0..m of the frozen-forcing update from (u0h, v0h), with
+    forcing(j) the half spectra frozen over step j."""
     uh = np.empty((m + 1,) + u0h.shape, dtype=np.complex128)
     vh = np.empty_like(uh)
     uh[0], vh[0] = u0h, v0h
-    zero = np.zeros_like(u0h[0])
     for j in range(m):
+        fh = forcing(j)
         for i in range(u0h.shape[0]):
-            uh[j + 1, i], vh[j + 1, i] = _combine(tables, uh[j, i], vh[j, i], zero)
+            uh[j + 1, i], vh[j + 1, i] = _combine(tables, uh[j, i], vh[j, i], fh[i])
     return _Path(uh, vh)
+
+
+def _free_path(u0h, v0h, tables, m) -> _Path:
+    """The solution map with zero forcing: the free flow at the nodes."""
+    zero = np.zeros_like(u0h)
+    return _propagate(u0h, v0h, tables, m, lambda j: zero)
 
 
 def _apply_solution_map(grid, cfg, path: _Path, u0h, v0h, tables, mask) -> _Path:
     """F(path): propagate the initial data with forcing frozen at the nodes
     of the given path."""
-    m = path.uh.shape[0] - 1
     n = u0h.shape[0]
-    uh = np.empty_like(path.uh)
-    vh = np.empty_like(path.vh)
-    uh[0], vh[0] = u0h, v0h
-    for j in range(m):
-        u_phys = np.stack([grid.to_physical(path.uh[j, i]) for i in range(n)])
-        f = rhs_fields(grid, u_phys, cfg)
-        for i in range(n):
-            fh = grid.to_spectral(f[i])
-            if mask is not None:
-                fh *= mask
-            fh[0, 0] = 0.0
-            uh[j + 1, i], vh[j + 1, i] = _combine(tables, uh[j, i], vh[j, i], fh)
-    return _Path(uh, vh)
+
+    def forcing(j):
+        u_phys = np.stack([grid.to_physical_half(path.uh[j, i]) for i in range(n)])
+        return _forcing_half(grid, rhs_fields(grid, u_phys, cfg), mask)
+
+    return _propagate(u0h, v0h, tables, path.uh.shape[0] - 1, forcing)
 
 
 def picard_solve(
@@ -115,10 +132,9 @@ def picard_solve(
     tables = StepTables(g, h)
     mask = g.dealias_mask if dealias else None
     n = state.ncomp
-    u0h = np.stack([g.to_spectral(state.u[i]) for i in range(n)])
-    v0h = np.stack([g.to_spectral(state.v[i]) for i in range(n)])
+    u0h, v0h = _initial_spectra(state)
 
-    path = _free_path(g, u0h, v0h, tables, m)
+    path = _free_path(u0h, v0h, tables, m)
     ratios = []
     distances = []
     converged = False
@@ -140,8 +156,8 @@ def picard_solve(
 
     states = []
     for j in range(m + 1):
-        u = np.stack([g.to_physical(path.uh[j, i]) for i in range(n)])
-        v = np.stack([g.to_physical(path.vh[j, i]) for i in range(n)])
+        u = np.stack([g.to_physical_half(path.uh[j, i]) for i in range(n)])
+        v = np.stack([g.to_physical_half(path.vh[j, i]) for i in range(n)])
         states.append(WaveState(g, state.t + j * h, u, v))
     report = PicardReport(
         R=picard_radius(state),
@@ -161,10 +177,8 @@ def first_contraction_ratio(state, cfg, T, steps=32, dealias=True) -> float:
     h = T / steps
     tables = StepTables(g, h)
     mask = g.dealias_mask if dealias else None
-    n = state.ncomp
-    u0h = np.stack([g.to_spectral(state.u[i]) for i in range(n)])
-    v0h = np.stack([g.to_spectral(state.v[i]) for i in range(n)])
-    p0 = _free_path(g, u0h, v0h, tables, steps)
+    u0h, v0h = _initial_spectra(state)
+    p0 = _free_path(u0h, v0h, tables, steps)
     p1 = _apply_solution_map(g, cfg, p0, u0h, v0h, tables, mask)
     d0 = _path_distance(g, p1, p0)
     if d0 <= 1e-300:

@@ -8,6 +8,11 @@ with zero forcing the stepper is exact to round-off for any step size.
 
 The forcing's zero mode is annihilated each step, so the component averages
 obey exactly ubar+ = ubar + h*vbar with vbar constant.
+
+One stepping primitive serves every caller: `_mode_factors` builds the
+per-mode factors, `StepTables` keeps their half-spectrum (rfft) columns, and
+`_combine` applies the update to one component's half spectra.  The step,
+`linear_flow` (zero forcing) and the Picard solution map all go through it.
 """
 
 from __future__ import annotations
@@ -55,47 +60,49 @@ class StepperConfig:
             raise ValueError("sample_every must be >= 1")
 
 
-class StepTables:
-    """Per-mode factors of the time-h propagator on a given grid.
+def _mode_factors(grid: SpectralGrid, t: float):
+    """Per-mode factors of the time-t free flow on the full FFT layout.
 
-    cosw = cos(h w), sincw = sin(h w)/w (h at w = 0),
-    qw = (1 - cos(h w))/w^2 (h^2/2 at w = 0, via the half-angle form),
-    wsinw = w sin(h w).
+    Returns (cos(t w), sin(t w)/w, (1 - cos(t w))/w^2, w sin(t w)) with the
+    limits t and t^2/2 at w = 0 (the third via the half-angle form).  This
+    is the one place the propagator's trigonometric factors are built.
     """
+    lam = grid.lap_symbol
+    om = np.sqrt(lam)
+    th = t * om
+    cosw = np.cos(th)
+    sincw = np.where(om > 0, np.sin(th) / np.where(om > 0, om, 1.0), t)
+    qw = np.where(lam > 0, 2.0 * np.sin(0.5 * th) ** 2 / np.where(lam > 0, lam, 1.0), 0.5 * t**2)
+    wsinw = om * np.sin(th)
+    return cosw, sincw, qw, wsinw
+
+
+class StepTables:
+    """Per-mode factors of the time-h propagator (see `_mode_factors`),
+    restricted to the n2//2+1 columns of the half (rfft) spectrum of a real
+    field."""
 
     def __init__(self, grid: SpectralGrid, h: float):
         self.grid = grid
         self.h = float(h)
-        lam = grid.lap_symbol
-        om = np.sqrt(lam)
-        th = self.h * om
-        self.cosw = np.ascontiguousarray(np.cos(th))
-        sinc = np.where(om > 0, np.sin(th) / np.where(om > 0, om, 1.0), self.h)
-        q = np.where(lam > 0, 2.0 * np.sin(0.5 * th) ** 2 / np.where(lam > 0, lam, 1.0), 0.5 * self.h**2)
-        self.sincw = np.ascontiguousarray(sinc)
-        self.qw = np.ascontiguousarray(q)
-        self.wsinw = np.ascontiguousarray(om * np.sin(th))
-        # half-spectrum copies for the rfft-based stepping loop
         ncol = grid.n2 // 2 + 1
-        self.cosw_h = np.ascontiguousarray(self.cosw[:, :ncol])
-        self.sincw_h = np.ascontiguousarray(self.sincw[:, :ncol])
-        self.qw_h = np.ascontiguousarray(self.qw[:, :ncol])
-        self.wsinw_h = np.ascontiguousarray(self.wsinw[:, :ncol])
+        self.cosw, self.sincw, self.qw, self.wsinw = (
+            np.ascontiguousarray(f[:, :ncol]) for f in _mode_factors(grid, self.h)
+        )
 
 
 def apply_cos(grid: SpectralGrid, t: float, modes: np.ndarray) -> np.ndarray:
     """Multiply each mode by cos(t w)."""
-    return modes * np.cos(t * np.sqrt(grid.lap_symbol))
+    return modes * _mode_factors(grid, t)[0]
 
 
 def apply_sinc(grid: SpectralGrid, t: float, modes: np.ndarray) -> np.ndarray:
     """Multiply each mode by sin(t w)/w, with the zero mode scaled by t."""
-    om = np.sqrt(grid.lap_symbol)
-    factor = np.where(om > 0, np.sin(t * om) / np.where(om > 0, om, 1.0), t)
-    return modes * factor
+    return modes * _mode_factors(grid, t)[1]
 
 
 def _combine(tables: StepTables, uh, vh, fh):
+    """The frozen-forcing update of one component's half spectra."""
     uh_out = np.empty_like(uh)
     vh_out = np.empty_like(uh)
     kernels.gautschi_combine(
@@ -104,31 +111,34 @@ def _combine(tables: StepTables, uh, vh, fh):
     return uh_out, vh_out
 
 
-def _combine_half(tables: StepTables, uh, vh, fh):
-    uh_out = np.empty_like(uh)
-    vh_out = np.empty_like(uh)
-    kernels.gautschi_combine(
-        tables.cosw_h, tables.sincw_h, tables.qw_h, tables.wsinw_h, uh, vh, fh,
-        uh_out, vh_out,
-    )
-    return uh_out, vh_out
+def _forcing_half(grid, f, mask):
+    """Half spectra of the stacked forcing fields f, dealiased by `mask` (full
+    layout, or None) and with the zero mode removed, which makes the
+    component averages evolve exactly as ubar + t*vbar."""
+    mask_h = None if mask is None else mask[:, : grid.n2 // 2 + 1]
+    fh = np.empty((f.shape[0], grid.n1, grid.n2 // 2 + 1), dtype=np.complex128)
+    for i in range(f.shape[0]):
+        fh[i] = grid.to_spectral_half(f[i])
+        if mask_h is not None:
+            fh[i] *= mask_h
+        fh[i, 0, 0] = 0.0
+    return fh
 
 
 def linear_flow(state: WaveState, t: float) -> WaveState:
-    """Exact free flow by time t (any sign), mode by mode."""
+    """Exact free flow by time t (any sign): the step's update with zero
+    forcing."""
     g = state.grid
-    n = state.ncomp
+    tables = StepTables(g, t)
+    zero = np.zeros((g.n1, g.n2 // 2 + 1), dtype=np.complex128)
     u_new = np.empty_like(state.u)
     v_new = np.empty_like(state.v)
-    om = np.sqrt(g.lap_symbol)
-    cosw = np.cos(t * om)
-    sincw = np.where(om > 0, np.sin(t * om) / np.where(om > 0, om, 1.0), t)
-    wsinw = om * np.sin(t * om)
-    for i in range(n):
-        uh = g.to_spectral(state.u[i])
-        vh = g.to_spectral(state.v[i])
-        u_new[i] = g.to_physical(cosw * uh + sincw * vh)
-        v_new[i] = g.to_physical(cosw * vh - wsinw * uh)
+    for i in range(state.ncomp):
+        uh, vh = _combine(
+            tables, g.to_spectral_half(state.u[i]), g.to_spectral_half(state.v[i]), zero
+        )
+        u_new[i] = g.to_physical_half(uh)
+        v_new[i] = g.to_physical_half(vh)
     return WaveState(g, state.t + t, u_new, v_new)
 
 
@@ -137,40 +147,29 @@ def _step_arrays(grid, u, v, tables, rhs_eval, scheme, mask):
 
     Works on the half (Hermitian-unique) spectrum of the real fields."""
     n = u.shape[0]
-    ncol = grid.n2 // 2 + 1
-    mask_h = None if mask is None else mask[:, :ncol]
-    f = rhs_eval(u)
-    uh = np.empty((n, grid.n1, ncol), dtype=np.complex128)
-    vh = np.empty_like(uh)
-    fh = np.empty_like(uh)
+    fh = _forcing_half(grid, rhs_eval(u), mask)
+    uh = np.empty_like(fh)
+    vh = np.empty_like(fh)
     for i in range(n):
         uh[i] = grid.to_spectral_half(u[i])
         vh[i] = grid.to_spectral_half(v[i])
-        fh[i] = grid.to_spectral_half(f[i])
-        if mask_h is not None:
-            fh[i] *= mask_h
-        fh[i, 0, 0] = 0.0
     u_new = np.empty_like(u)
     v_new = np.empty_like(v)
     if scheme == "frozen":
         for i in range(n):
-            uh_i, vh_i = _combine_half(tables, uh[i], vh[i], fh[i])
+            uh_i, vh_i = _combine(tables, uh[i], vh[i], fh[i])
             u_new[i] = grid.to_physical_half(uh_i)
             v_new[i] = grid.to_physical_half(vh_i)
         return u_new, v_new
     # symmetric: frozen predictor, then the step with the averaged forcing
     u_pred = np.empty_like(u)
     for i in range(n):
-        uh_i, _ = _combine_half(tables, uh[i], vh[i], fh[i])
+        uh_i, _ = _combine(tables, uh[i], vh[i], fh[i])
         u_pred[i] = grid.to_physical_half(uh_i)
-    f1 = rhs_eval(u_pred)
+    f1h = _forcing_half(grid, rhs_eval(u_pred), mask)
     for i in range(n):
-        f1h = grid.to_spectral_half(f1[i])
-        if mask_h is not None:
-            f1h *= mask_h
-        f1h[0, 0] = 0.0
-        fa = 0.5 * (fh[i] + f1h)
-        uh_i, vh_i = _combine_half(tables, uh[i], vh[i], fa)
+        fa = 0.5 * (fh[i] + f1h[i])
+        uh_i, vh_i = _combine(tables, uh[i], vh[i], fa)
         u_new[i] = grid.to_physical_half(uh_i)
         v_new[i] = grid.to_physical_half(vh_i)
     return u_new, v_new

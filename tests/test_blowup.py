@@ -180,6 +180,27 @@ class TestBlowupMonitor:
         assert len(reports) == 1 and reports[0].component == 0
         assert len(reports[0].points) == 1  # floor(5 pi / 4 pi)
 
+    def test_minus_measure_located_at_minus_bubble(self, grid64):
+        # the -1 measure is e^{-u}: its point sits on the negative bubble
+        cfg = CouplingConfig("sinh_gordon", (10 * np.pi, 10 * np.pi))
+        u0 = bubble_field(grid64, (1.0, 1.0), 6.0) - bubble_field(grid64, (4.0, 4.0), 6.0)
+        st = wave_state_new(grid64, u0, np.zeros((64, 64)))
+        status, reports = blowup_monitor(st, cfg, MonitorThresholds(log_int=1.0))
+        assert status == "alarm"
+        by_sign = {r.sign: r for r in reports}
+        assert np.allclose(by_sign[+1].points, [(0.98, 0.98)], atol=0.05)
+        assert np.allclose(by_sign[-1].points, [(4.03, 4.03)], atol=0.05)
+
+    def test_uncoupled_measure_not_watched(self, grid64):
+        # mean-field carries no e^{-u} measure, so a deep well stays quiet
+        u0 = -bubble_field(grid64, (np.pi, np.pi), 6.0)
+        st = wave_state_new(grid64, u0, np.zeros((64, 64)))
+        thr = MonitorThresholds(log_int=5.0)
+        sg = CouplingConfig("sinh_gordon", (10 * np.pi, 10 * np.pi))
+        assert blowup_monitor(st, sg, thr)[0] == "alarm"
+        mf = CouplingConfig("mean_field", (10 * np.pi,))
+        assert blowup_monitor(st, mf, thr) == ("quiet", [])
+
 
 class TestBubbleField:
     def test_mean_zero(self, grid64):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liouwave import _kernels_py, kernels
+from liouwave import kernels
 
 
 def combine_inputs(rng, shape=(32, 17)):
@@ -28,59 +28,6 @@ def test_python_combine_matches_formula(rng):
     (c, s, q, w), (uh, vh, fh) = combine_inputs(rng)
     uo = np.empty_like(uh)
     vo = np.empty_like(uh)
-    _kernels_py.gautschi_combine(c, s, q, w, uh, vh, fh, uo, vo)
+    kernels.gautschi_combine(c, s, q, w, uh, vh, fh, uo, vo)
     assert np.allclose(uo, c * uh + s * vh + q * fh, rtol=1e-15)
     assert np.allclose(vo, c * vh - w * uh + s * fh, rtol=1e-15)
-
-
-@pytest.mark.skipif(not kernels.HAVE_EXT, reason="compiled extension unavailable")
-def test_lanes_agree(rng):
-    from liouwave import _kernels
-
-    (c, s, q, w), (uh, vh, fh) = combine_inputs(rng)
-    uo_py = np.empty_like(uh)
-    vo_py = np.empty_like(uh)
-    uo_ex = np.empty_like(uh)
-    vo_ex = np.empty_like(uh)
-    _kernels_py.gautschi_combine(c, s, q, w, uh, vh, fh, uo_py, vo_py)
-    _kernels.gautschi_combine(c, s, q, w, uh, vh, fh, uo_ex, vo_ex)
-    assert np.allclose(uo_py, uo_ex, rtol=1e-15, atol=1e-300)
-    assert np.allclose(vo_py, vo_ex, rtol=1e-15, atol=1e-300)
-
-
-@pytest.mark.skipif(not kernels.HAVE_EXT, reason="compiled extension unavailable")
-def test_backend_switch_roundtrip():
-    original = kernels.backend
-    try:
-        kernels.use_backend("python")
-        assert kernels.backend == "python"
-        assert kernels.gautschi_combine is _kernels_py.gautschi_combine
-        kernels.use_backend("ext")
-        assert kernels.backend == "ext"
-        assert kernels.gautschi_combine is not _kernels_py.gautschi_combine
-    finally:
-        kernels.use_backend(original)
-
-
-def test_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.use_backend("fortran")
-
-
-@pytest.mark.skipif(not kernels.HAVE_EXT, reason="compiled extension unavailable")
-def test_full_step_agrees_across_lanes(grid32, rng):
-    from liouwave import CouplingConfig, StepperConfig, evolve, random_smooth_field, wave_state_new
-
-    cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
-    u0 = random_smooth_field(grid32, np.random.default_rng(3), 3, 1.0)
-    st = wave_state_new(grid32, u0, np.zeros((32, 32)))
-    stepper = StepperConfig(h=1e-2, sample_every=10)
-    original = kernels.backend
-    try:
-        kernels.use_backend("ext")
-        a = evolve(st, 0.2, stepper, cfg)
-        kernels.use_backend("python")
-        b = evolve(st, 0.2, stepper, cfg)
-    finally:
-        kernels.use_backend(original)
-    assert np.abs(a.final_state.u - b.final_state.u).max() < 1e-12

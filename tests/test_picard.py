@@ -12,7 +12,7 @@ from liouwave import (
     rhs_fields,
     wave_state_new,
 )
-from liouwave.picard import first_contraction_ratio
+from liouwave.picard import _Path, _path_distance, first_contraction_ratio
 
 
 def small_state(grid, amp=0.05, seed=20):
@@ -39,6 +39,20 @@ class TestPicardRadius:
         st = small_state(grid32, 0.8)
         scaled = wave_state_new(grid32, 3.0 * st.u, 3.0 * st.v)
         assert picard_radius(scaled) == pytest.approx(3.0 * picard_radius(st), rel=1e-12)
+
+
+def test_half_spectrum_path_distance_matches_full(grid32, rng):
+    # Parseval over the full spectrum of real fields, the definition the
+    # Hermitian column weights of the half spectrum must reproduce
+    shape = (3, 2, 32, 32)
+    au, av, bu, bv = (rng.standard_normal(shape) for _ in range(4))
+    rfft2 = np.fft.rfft2
+    d = _path_distance(grid32, _Path(rfft2(au), rfft2(av)), _Path(rfft2(bu), rfft2(bv)))
+    norm = grid32.area / (32 * 32) ** 2
+    du, dv = np.fft.fft2(au - bu), np.fft.fft2(av - bv)
+    h1 = np.sqrt(norm * ((1.0 + grid32.lap_symbol) * np.abs(du) ** 2).sum(axis=(1, 2, 3)))
+    l2 = np.sqrt(norm * (np.abs(dv) ** 2).sum(axis=(1, 2, 3)))
+    assert d == pytest.approx(float((h1 + l2).max()), rel=1e-12)
 
 
 class TestPicardSolve:

@@ -216,6 +216,14 @@ class TestEvolve:
         assert plus and plus[0].covered_fraction >= 0.9
         assert plus[0].alarmed
 
+    def test_constant_state_completes_under_monitor(self, grid32):
+        # u = 55 is an exact stationary solution; the monitor must stay quiet
+        cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
+        st = wave_state_new(grid32, np.full((32, 32), 55.0), np.zeros((32, 32)))
+        traj = evolve(st, 0.1, StepperConfig(h=1e-2), cfg, monitor=MonitorThresholds())
+        assert traj.status == STATUS_COMPLETED
+        assert np.abs(traj.final_state.u - 55.0).max() < 1e-12
+
     def test_max_steps_status(self, grid32):
         cfg = CouplingConfig("mean_field", (0.0,))
         st = eigenmode_state(grid32)
