@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import struct
 import sys
 
@@ -406,12 +407,7 @@ def _run_evolve(rc, out_dir, seed):
     )
     e0 = traj.reports[0].E
     write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, e0)
-    for step_index, snap in traj.snapshots:
-        base = os.path.join(out_dir, f"checkpoint_step{step_index:08d}")
-        write_snapshot(snap, base + ".lwav")
-        meta = {"step": step_index, "t0": state.t, "E0": e0, "seed": seed}
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh)
+    _write_checkpoints(out_dir, traj, state.t, e0, seed)
     if rc["snapshot_final"] and traj.final_state is not None:
         write_snapshot(traj.final_state, os.path.join(out_dir, "final.lwav"))
     lines = [
@@ -432,7 +428,23 @@ def _run_evolve(rc, out_dir, seed):
     return 0
 
 
+def _write_checkpoints(out_dir, traj, t0, e0, seed):
+    """Each checkpoint snapshot of `traj`, with the run's origin t0, initial
+    energy and seed as its `.json` metadata."""
+    for step_index, snap in traj.snapshots:
+        base = os.path.join(out_dir, f"checkpoint_step{step_index:08d}")
+        write_snapshot(snap, base + ".lwav")
+        meta = {"step": step_index, "t0": t0, "E0": e0, "seed": seed}
+        with open(base + ".json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+
+
 def _run_resume(checkpoint, out_dir):
+    """Continue the run a checkpoint belongs to.  The resumed run steps with
+    the config's checkpoint cadence (checkpoint steps are canonical, see
+    `propagator`) and writes the checkpoints it reaches, with the original
+    run's metadata and a copy of its config.used, so it can be resumed in
+    turn."""
     meta_path = os.path.splitext(checkpoint)[0] + ".json"
     if not os.path.exists(meta_path):
         raise ValueError(f"missing checkpoint metadata {meta_path}")
@@ -448,11 +460,15 @@ def _run_resume(checkpoint, out_dir):
     stepper = build_stepper(rc)
     monitor = build_monitor(rc)
     traj = propagator.evolve(
-        state, rc["T"], stepper, cfg, monitor,
+        state, rc["T"], stepper, cfg, monitor, snapshot_every=rc["checkpoint_every"],
         first_step_index=int(meta["step"]), t_origin=float(meta["t0"]),
     )
     os.makedirs(out_dir, exist_ok=True)
     write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, float(meta["E0"]))
+    _write_checkpoints(out_dir, traj, meta["t0"], meta["E0"], meta["seed"])
+    cfg_copy = os.path.join(out_dir, "config.used")
+    if not (os.path.exists(cfg_copy) and os.path.samefile(cfg_path, cfg_copy)):
+        shutil.copyfile(cfg_path, cfg_copy)
     _write_report(os.path.join(out_dir, "report.txt"), [
         "scenario: resume",
         f"resumed_from: {checkpoint}",

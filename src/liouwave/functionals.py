@@ -200,9 +200,11 @@ def mt_residual(grid: SpectralGrid, u: np.ndarray, flavor: str = "standard", **p
 def evaluate_report(state: WaveState, cfg: CouplingConfig) -> FunctionalReport:
     """Full per-slice diagnostics used by trajectory sampling.
 
-    For multi-component states log_plus/log_minus are the max over
-    components of log int e^{+-(u_j - ubar_j)} (the blow-up monitors track
-    the worst component).
+    For the scalar families log_minus is log int h2 e^{-a(u - ubar)}, the
+    measure of the equation's e^{-au} term.  For multi-component states
+    log_plus/log_minus are the max over components of
+    log int e^{+-(u_j - ubar_j)} (the blow-up monitors track the worst
+    component).
     """
     g = state.grid
     n = state.ncomp
@@ -211,9 +213,9 @@ def evaluate_report(state: WaveState, cfg: CouplingConfig) -> FunctionalReport:
     seminorms = [g.seminorm_h1(state.u[i]) for i in range(n)]
     grad_l2 = max(seminorms)
     lps = [_centered_log_integral(g, state.u[i], +1.0) for i in range(n)]
-    lms = [_centered_log_integral(g, state.u[i], -1.0) for i in range(n)]
-    log_plus, log_minus = max(lps), max(lms)
+    log_plus = max(lps)
     if cfg.family == "toda":
+        log_minus = max(_centered_log_integral(g, state.u[i], -1.0) for i in range(n))
         q = cfg.matrix.energy_form()
         kinetic = _kinetic_matrix(g, state.v, q)
         dirichlet = _dirichlet_matrix(g, state.u, q)
@@ -224,8 +226,15 @@ def evaluate_report(state: WaveState, cfg: CouplingConfig) -> FunctionalReport:
         kinetic = 0.5 * g.norm_l2(state.v[0]) ** 2
         dirichlet = 0.5 * seminorms[0] ** 2
         jval = functional_J_scalar(g, state.u[0], cfg)
-        flavor = "standard" if cfg.family == "mean_field" else "sinh"
-        resid = dirichlet - EIGHT_PI * lps[0] if flavor == "standard" else dirichlet - EIGHT_PI * (lps[0] + lms[0])
+        log_minus = _centered_log_integral(g, state.u[0], -1.0, cfg.weight(1), scale=cfg.a)
+        if cfg.family == "mean_field":
+            resid = dirichlet - EIGHT_PI * lps[0]
+        else:
+            # the sinh residual is the unweighted a = 1 integral (see mt_residual)
+            lm = log_minus
+            if cfg.a != 1.0 or cfg.weight(1) is not None:
+                lm = _centered_log_integral(g, state.u[0], -1.0)
+            resid = dirichlet - EIGHT_PI * (lps[0] + lm)
     return FunctionalReport(
         t=state.t,
         means=means,

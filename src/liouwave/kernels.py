@@ -20,13 +20,23 @@ def exp_shifted_sum(g, m, out):
     return float(out.sum())
 
 
-def gautschi_combine(cosw, sincw, qw, wsinw, uh, vh, fh, uh_out, vh_out):
+def gautschi_combine(cosw, sincw, qw, wsinw, uh, vh, fh, uh_out, vh_out=None):
     """Per-mode update of the second-order oscillator with frozen forcing:
 
         uh_out = cos*uh + sinc*vh + q*fh
         vh_out = cos*vh - wsin*uh + sinc*fh
 
-    Output buffers must not alias the inputs.
+    With `vh_out=None` the velocity line is skipped (the symmetric step's
+    predictor needs only the position).  Output buffers must not alias the
+    inputs.  The sums run left to right in the output buffers with one
+    scratch array, which gives the same bits as the expressions above
+    without their temporaries.
     """
-    uh_out[...] = cosw * uh + sincw * vh + qw * fh
-    vh_out[...] = cosw * vh - wsinw * uh + sincw * fh
+    tmp = np.empty_like(uh_out)
+    np.multiply(cosw, uh, out=uh_out)
+    uh_out += np.multiply(sincw, vh, out=tmp)
+    uh_out += np.multiply(qw, fh, out=tmp)
+    if vh_out is not None:
+        np.multiply(cosw, vh, out=vh_out)
+        vh_out -= np.multiply(wsinw, uh, out=tmp)
+        vh_out += np.multiply(sincw, fh, out=tmp)

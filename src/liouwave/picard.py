@@ -9,8 +9,8 @@ shrinks roughly linearly with T.  Every iterate preserves the component
 averages of the initial data.
 
 Paths are held as half (rfft) spectra, and F runs through the propagator's
-per-mode update (`StepTables`, `_combine`, `_forcing_half`), the same one
-the stepper and `linear_flow` use.
+per-mode update (`StepTables`, `kernels.gautschi_combine`, `_forcing_half`),
+the same one the stepper and `linear_flow` use.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .fields import WaveState
-from .propagator import StepTables, _combine, _forcing_half
+from .propagator import StepTables, _forcing_half
 from .rhs import CouplingConfig, rhs_fields
 
 
@@ -87,7 +88,9 @@ def _propagate(u0h, v0h, tables, m, forcing) -> _Path:
     for j in range(m):
         fh = forcing(j)
         for i in range(u0h.shape[0]):
-            uh[j + 1, i], vh[j + 1, i] = _combine(tables, uh[j, i], vh[j, i], fh[i])
+            kernels.gautschi_combine(
+                *tables.factors, uh[j, i], vh[j, i], fh[i], uh[j + 1, i], vh[j + 1, i]
+            )
     return _Path(uh, vh)
 
 

@@ -9,10 +9,25 @@ with zero forcing the stepper is exact to round-off for any step size.
 The forcing's zero mode is annihilated each step, so the component averages
 obey exactly ubar+ = ubar + h*vbar with vbar constant.
 
-One stepping primitive serves every caller: `_mode_factors` builds the
+One per-mode update serves every caller: `_mode_factors` builds the
 per-mode factors, `StepTables` keeps their half-spectrum (rfft) columns, and
-`_combine` applies the update to one component's half spectra.  The step,
-`linear_flow` (zero forcing) and the Picard solution map all go through it.
+`kernels.gautschi_combine` applies the update to one component's half
+spectra.  The step and the Picard solution map both run through it.
+
+The state is carried in mode space.  `_step`, the one stepping primitive,
+maps the half spectra (uh, vh) plus the physical u that the forcing needs to
+the next such triple, so a symmetric step costs 2 forward + 2 inverse
+transforms per component (the frozen step 1 + 1).  `evolve` makes the
+physical v by one inverse transform per component only where a sample,
+checkpoint or final state needs it.  `_step_arrays` (physical in and out)
+is `_step` between forward transforms of u and v and an inverse transform
+of the new v; `duhamel_step` calls it, and so does `linear_flow`, as one
+frozen step with zero forcing.
+
+Checkpoint steps are canonical: at every step that `evolve` snapshots, the
+carried spectra are replaced by the transforms of the physical u and v it
+stores, so a run resumed from that snapshot (with the same checkpoint
+cadence) repeats the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -86,9 +101,8 @@ class StepTables:
         self.grid = grid
         self.h = float(h)
         ncol = grid.n2 // 2 + 1
-        self.cosw, self.sincw, self.qw, self.wsinw = (
-            np.ascontiguousarray(f[:, :ncol]) for f in _mode_factors(grid, self.h)
-        )
+        # (cos, sinc, q, wsin), in the argument order of the combine kernel
+        self.factors = tuple(np.ascontiguousarray(f[:, :ncol]) for f in _mode_factors(grid, self.h))
 
 
 def apply_cos(grid: SpectralGrid, t: float, modes: np.ndarray) -> np.ndarray:
@@ -101,78 +115,69 @@ def apply_sinc(grid: SpectralGrid, t: float, modes: np.ndarray) -> np.ndarray:
     return modes * _mode_factors(grid, t)[1]
 
 
-def _combine(tables: StepTables, uh, vh, fh):
-    """The frozen-forcing update of one component's half spectra."""
-    uh_out = np.empty_like(uh)
-    vh_out = np.empty_like(uh)
-    kernels.gautschi_combine(
-        tables.cosw, tables.sincw, tables.qw, tables.wsinw, uh, vh, fh, uh_out, vh_out
-    )
-    return uh_out, vh_out
+def _to_half(grid, fields):
+    """Half spectra of stacked real fields, one rfft per component."""
+    out = np.empty((fields.shape[0], grid.n1, grid.n2 // 2 + 1), dtype=np.complex128)
+    for i in range(fields.shape[0]):
+        out[i] = grid.to_spectral_half(fields[i])
+    return out
+
+
+def _to_physical(grid, modes):
+    """Stacked real fields of stacked half spectra, one irfft per component."""
+    out = np.empty((modes.shape[0], grid.n1, grid.n2))
+    for i in range(modes.shape[0]):
+        out[i] = grid.to_physical_half(modes[i])
+    return out
 
 
 def _forcing_half(grid, f, mask):
     """Half spectra of the stacked forcing fields f, dealiased by `mask` (full
     layout, or None) and with the zero mode removed, which makes the
     component averages evolve exactly as ubar + t*vbar."""
-    mask_h = None if mask is None else mask[:, : grid.n2 // 2 + 1]
-    fh = np.empty((f.shape[0], grid.n1, grid.n2 // 2 + 1), dtype=np.complex128)
-    for i in range(f.shape[0]):
-        fh[i] = grid.to_spectral_half(f[i])
-        if mask_h is not None:
-            fh[i] *= mask_h
-        fh[i, 0, 0] = 0.0
+    fh = _to_half(grid, f)
+    if mask is not None:
+        fh *= mask[:, : grid.n2 // 2 + 1]
+    fh[:, 0, 0] = 0.0
     return fh
 
 
-def linear_flow(state: WaveState, t: float) -> WaveState:
-    """Exact free flow by time t (any sign): the step's update with zero
-    forcing."""
-    g = state.grid
-    tables = StepTables(g, t)
-    zero = np.zeros((g.n1, g.n2 // 2 + 1), dtype=np.complex128)
-    u_new = np.empty_like(state.u)
-    v_new = np.empty_like(state.v)
-    for i in range(state.ncomp):
-        uh, vh = _combine(
-            tables, g.to_spectral_half(state.u[i]), g.to_spectral_half(state.v[i]), zero
-        )
-        u_new[i] = g.to_physical_half(uh)
-        v_new[i] = g.to_physical_half(vh)
-    return WaveState(g, state.t + t, u_new, v_new)
+def _step(grid, uh, vh, u, tables, rhs_eval, scheme, mask):
+    """One step of the state carried in mode space: the half spectra (uh, vh)
+    of the stacked components and u, the physical image of uh that the
+    forcing is evaluated on.  Returns the new (uh, vh, u).
+
+    Each forcing evaluation costs one rfft per component and each new
+    physical u one irfft per component: 2 + 2 per component for the
+    symmetric scheme, 1 + 1 for the frozen one."""
+    fh = _forcing_half(grid, rhs_eval(u), mask)
+    uh_new = np.empty_like(uh)
+    vh_new = np.empty_like(vh)
+    if scheme == "symmetric":
+        # frozen predictor for the position only, then the step with the
+        # averaged forcing
+        for i in range(u.shape[0]):
+            kernels.gautschi_combine(*tables.factors, uh[i], vh[i], fh[i], uh_new[i])
+        f1h = _forcing_half(grid, rhs_eval(_to_physical(grid, uh_new)), mask)
+        fh = 0.5 * (fh + f1h)
+    for i in range(u.shape[0]):
+        kernels.gautschi_combine(*tables.factors, uh[i], vh[i], fh[i], uh_new[i], vh_new[i])
+    return uh_new, vh_new, _to_physical(grid, uh_new)
 
 
 def _step_arrays(grid, u, v, tables, rhs_eval, scheme, mask):
-    """One step on stacked physical arrays; returns new (u, v).
+    """One step on stacked physical arrays; returns new (u, v)."""
+    _, vh, u_new = _step(grid, _to_half(grid, u), _to_half(grid, v), u, tables, rhs_eval,
+                         scheme, mask)
+    return u_new, _to_physical(grid, vh)
 
-    Works on the half (Hermitian-unique) spectrum of the real fields."""
-    n = u.shape[0]
-    fh = _forcing_half(grid, rhs_eval(u), mask)
-    uh = np.empty_like(fh)
-    vh = np.empty_like(fh)
-    for i in range(n):
-        uh[i] = grid.to_spectral_half(u[i])
-        vh[i] = grid.to_spectral_half(v[i])
-    u_new = np.empty_like(u)
-    v_new = np.empty_like(v)
-    if scheme == "frozen":
-        for i in range(n):
-            uh_i, vh_i = _combine(tables, uh[i], vh[i], fh[i])
-            u_new[i] = grid.to_physical_half(uh_i)
-            v_new[i] = grid.to_physical_half(vh_i)
-        return u_new, v_new
-    # symmetric: frozen predictor, then the step with the averaged forcing
-    u_pred = np.empty_like(u)
-    for i in range(n):
-        uh_i, _ = _combine(tables, uh[i], vh[i], fh[i])
-        u_pred[i] = grid.to_physical_half(uh_i)
-    f1h = _forcing_half(grid, rhs_eval(u_pred), mask)
-    for i in range(n):
-        fa = 0.5 * (fh[i] + f1h[i])
-        uh_i, vh_i = _combine(tables, uh[i], vh[i], fa)
-        u_new[i] = grid.to_physical_half(uh_i)
-        v_new[i] = grid.to_physical_half(vh_i)
-    return u_new, v_new
+
+def linear_flow(state: WaveState, t: float) -> WaveState:
+    """Exact free flow by time t (any sign): one frozen step of size t with
+    zero forcing."""
+    g = state.grid
+    u, v = _step_arrays(g, state.u, state.v, StepTables(g, t), np.zeros_like, "frozen", None)
+    return WaveState(g, state.t + t, u, v)
 
 
 def duhamel_step(state: WaveState, h: float, rhs_eval: Callable, scheme: str = "symmetric",
@@ -218,9 +223,14 @@ def evolve(
 
     traj = Trajectory()
     u, v = state.u.copy(), state.v.copy()
+    uh, vh = _to_half(g, u), _to_half(g, v)
     t = state.t
 
     def current_state():
+        """The physical state; v is made from vh when a step made it stale."""
+        nonlocal v
+        if v is None:
+            v = _to_physical(g, vh)
         return WaveState(g, t, u, v)
 
     def sample() -> bool:
@@ -246,19 +256,21 @@ def evolve(
     status = STATUS_COMPLETED
     for k in range(1, n_steps + 1):
         try:
-            u, v = _step_arrays(g, u, v, tables, rhs_eval, stepper.scheme, mask)
+            uh, vh, u = _step(g, uh, vh, u, tables, rhs_eval, stepper.scheme, mask)
         except DynamicRangeError:
             status = STATUS_NONFINITE
             break
+        v = None
         gk = first_step_index + k
         t = t0 + gk * stepper.h
         max_u = float(np.abs(u).max())
-        max_v = float(np.abs(v).max())
-        if not (np.isfinite(max_u) and np.isfinite(max_v)):
+        if not (np.isfinite(max_u) and np.isfinite(vh).all()):
             status = STATUS_NONFINITE
             break
         if snapshot_every and gk % snapshot_every == 0:
             traj.snapshots.append((gk, current_state().clone()))
+            # canonical step: a resume from this snapshot starts from these spectra
+            uh, vh = _to_half(g, u), _to_half(g, v)
         hard_stop = max_u >= stepper.max_abs_u
         if gk % stepper.sample_every == 0 or k == n_steps or hard_stop:
             if sample():

@@ -200,6 +200,33 @@ class TestRunScenarios:
         resumed = (res / "timeseries.csv").read_text().splitlines()[1:]
         assert straight == resumed
 
+    def test_resume_of_resume_reproduces_rows(self, tmp_path):
+        # checkpoints fall after the resume point, so a resume that does not
+        # re-derive the spectra at the checkpoint cadence drifts in round-off
+        # and its own checkpoints do not continue the uninterrupted run
+        text = (
+            "scenario = evolve\nfamily = sinh_gordon\n"
+            "rho1 = 12.566370614359172\nrho2 = 12.566370614359172\n"
+            "grid.n1 = 64\ngrid.n2 = 64\nT = 0.3\nh = 0.005\nsample_every = 5\n"
+            "seed = 11\ninit.amplitude = 6.0\ninit.vel_amplitude = 3.0\n"
+            "checkpoint_every = 10\n"
+        )
+        out = tmp_path / "full"
+        assert cli.run(cli.parse_config(text), str(out)) == 0
+        rows = (out / "timeseries.csv").read_bytes().split(b"\n")[1:-1]
+        first = tmp_path / "first"
+        assert cli._run_resume(str(out / "checkpoint_step00000020.lwav"), str(first)) == 0
+        second = tmp_path / "second"
+        assert cli._run_resume(str(first / "checkpoint_step00000040.lwav"), str(second)) == 0
+        assert (first / "timeseries.csv").read_bytes().split(b"\n")[1:-1] == rows[4:]
+        assert (second / "timeseries.csv").read_bytes().split(b"\n")[1:-1] == rows[8:]
+        for step in (30, 40, 50, 60):
+            name = f"checkpoint_step{step:08d}"
+            for d in (first, second) if step > 40 else (first,):
+                assert (d / f"{name}.lwav").read_bytes() == (out / f"{name}.lwav").read_bytes()
+                assert (d / f"{name}.json").read_bytes() == (out / f"{name}.json").read_bytes()
+        assert (second / "config.used").read_bytes() == (out / "config.used").read_bytes()
+
     def test_picard_verify_report(self, tmp_path):
         cfg_text = (
             "scenario = picard-verify\nfamily = sinh_gordon\nrho1 = 12.566\nrho2 = 12.566\n"

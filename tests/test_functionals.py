@@ -197,6 +197,19 @@ class TestEvaluateReport:
         assert rep.log_minus >= np.log(grid32.area) - 1e-12
         assert rep.grad_l2 == pytest.approx(grid32.seminorm_h1(u0), rel=1e-12)
 
+    def test_asymmetric_log_minus_is_the_equation_measure(self, grid32):
+        # log_minus is log int e^{-a(u - ubar)}, as in J and the monitor
+        cfg = CouplingConfig("asymmetric_sinh", (4 * np.pi, 4 * np.pi), a=2.0)
+        gen = np.random.default_rng(11)
+        u0 = random_smooth_field(grid32, gen, 4, 6.0)
+        u1 = random_smooth_field(grid32, gen, 4, 3.0, zero_mean=True, norm="l2")
+        rep = evaluate_report(wave_state_new(grid32, u0, u1), cfg)
+        direct = np.log(grid32.integrate(np.exp(-2.0 * (u0 - u0.mean()))))
+        assert rep.log_minus == pytest.approx(direct, rel=1e-13)
+        assert rep.log_minus == pytest.approx(3.7745, abs=1e-4)
+        sinh = mt_residual(grid32, u0, "sinh")
+        assert rep.mt_residual == pytest.approx(sinh, rel=1e-13)
+
     def test_toda_report(self, grid32, rng):
         cfg = CouplingConfig("toda", (np.pi, np.pi), matrix=cartan_matrix("A", 2))
         u0 = np.stack([random_smooth_field(grid32, rng, 3, 1.0) for _ in range(2)])

@@ -29,5 +29,15 @@ def test_python_combine_matches_formula(rng):
     uo = np.empty_like(uh)
     vo = np.empty_like(uh)
     kernels.gautschi_combine(c, s, q, w, uh, vh, fh, uo, vo)
-    assert np.allclose(uo, c * uh + s * vh + q * fh, rtol=1e-15)
-    assert np.allclose(vo, c * vh - w * uh + s * fh, rtol=1e-15)
+    assert np.array_equal(uo, c * uh + s * vh + q * fh)
+    assert np.array_equal(vo, c * vh - w * uh + s * fh)
+
+
+def test_combine_without_velocity_gives_same_position(rng):
+    (c, s, q, w), (uh, vh, fh) = combine_inputs(rng)
+    uo = np.empty_like(uh)
+    vo = np.empty_like(uh)
+    kernels.gautschi_combine(c, s, q, w, uh, vh, fh, uo, vo)
+    up = np.empty_like(uh)
+    kernels.gautschi_combine(c, s, q, w, uh, vh, fh, up)
+    assert np.array_equal(up, uo)

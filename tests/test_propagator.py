@@ -255,6 +255,101 @@ class TestEvolve:
             evolve(st, -1.0, StepperConfig(h=1e-2), cfg)
 
 
+def acceptance_like_state(grid, ncomp):
+    """Data seeded like the acceptance energy criteria (seed 11, amplitudes
+    6 and 3)."""
+    gen = np.random.default_rng(11)
+    u0 = np.stack([random_smooth_field(grid, gen, 4, 6.0) for _ in range(ncomp)])
+    u1 = np.stack(
+        [random_smooth_field(grid, gen, 4, 3.0, zero_mean=True, norm="l2") for _ in range(ncomp)]
+    )
+    return wave_state_new(grid, u0, u1)
+
+
+class TestSpectralState:
+    @pytest.mark.parametrize("scheme", ["symmetric", "frozen"])
+    @pytest.mark.parametrize(
+        "n, cfg",
+        [
+            (128, CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))),
+            (64, CouplingConfig("toda", (3 * np.pi, 3 * np.pi), matrix=cartan_matrix("A", 2))),
+        ],
+        ids=["sinh128", "todaA2_64"],
+    )
+    def test_evolve_matches_physical_step_loop(self, n, cfg, scheme):
+        # evolve carries the half spectra across steps; _step_arrays goes
+        # through physical space every step: the two agree to round-off
+        from liouwave import make_torus_grid
+
+        g = make_torus_grid(n, n)
+        st = acceptance_like_state(g, cfg.ncomp)
+        h, n_steps = 1e-3, 200
+        traj = evolve(st, n_steps * h, StepperConfig(h=h, scheme=scheme, sample_every=10**9), cfg)
+        tables = prop.StepTables(g, h)
+        u, v = st.u, st.v
+        for _ in range(n_steps):
+            u, v = prop._step_arrays(g, u, v, tables, make_rhs(g, cfg), scheme, g.dealias_mask)
+        assert traj.status == STATUS_COMPLETED
+        assert np.abs(traj.final_state.u - u).max() <= 1e-12
+        assert np.abs(traj.final_state.v - v).max() <= 1e-12
+
+    @pytest.mark.parametrize("scheme, per_step", [("symmetric", 2), ("frozen", 1)])
+    @pytest.mark.parametrize("ncomp", [1, 2])
+    def test_transform_counts(self, grid32, monkeypatch, scheme, per_step, ncomp):
+        import scipy.fft
+
+        counts = {"rfft2": 0, "irfft2": 0}
+
+        def counting(name):
+            real = getattr(scipy.fft, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(scipy.fft, name, counting(name))
+        if ncomp == 1:
+            cfg = CouplingConfig("sinh_gordon", (2 * np.pi, 2 * np.pi))
+        else:
+            cfg = CouplingConfig("toda", (np.pi, np.pi), matrix=cartan_matrix("A", 2))
+        gen = np.random.default_rng(2)
+        u0 = np.stack([random_smooth_field(grid32, gen, 3, 1.0) for _ in range(ncomp)])
+        u1 = np.stack(
+            [random_smooth_field(grid32, gen, 3, 0.5, zero_mean=True, norm="l2") for _ in range(ncomp)]
+        )
+        st = wave_state_new(grid32, u0, u1)
+        # 12 steps; samples at steps 4, 8, 12 and checkpoints at 6, 12, so the
+        # physical v is made at 4 distinct steps
+        traj = evolve(st, 12 * 1e-2, StepperConfig(h=1e-2, scheme=scheme, sample_every=4), cfg,
+                      snapshot_every=6)
+        assert traj.status == STATUS_COMPLETED and len(traj.snapshots) == 2
+        initial, rederive, v_steps = 2 * ncomp, 2 * 2 * ncomp, 4
+        assert counts["rfft2"] == initial + 12 * per_step * ncomp + rederive
+        assert counts["irfft2"] == 12 * per_step * ncomp + v_steps * ncomp
+
+    def test_checkpoint_steps_are_canonical(self, grid64):
+        # a run started from a checkpoint snapshot repeats the uninterrupted
+        # run bit for bit when it re-derives at the same cadence, and differs
+        # in round-off when it does not
+        cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
+        st = acceptance_like_state(grid64, 1)
+        stepper = StepperConfig(h=1e-3, sample_every=10)
+        full = evolve(st, 0.1, stepper, cfg, snapshot_every=20)
+        step, snap = full.snapshots[0]
+        assert step == 20
+        same = evolve(snap, 0.1, stepper, cfg, snapshot_every=20, first_step_index=20, t_origin=0.0)
+        assert np.array_equal(same.final_state.u, full.final_state.u)
+        assert np.array_equal(same.final_state.v, full.final_state.v)
+        assert [(k, s.u.tobytes()) for k, s in same.snapshots] == [
+            (k, s.u.tobytes()) for k, s in full.snapshots[1:]
+        ]
+        carried = evolve(snap, 0.1, stepper, cfg, first_step_index=20, t_origin=0.0)
+        assert not np.array_equal(carried.final_state.u, full.final_state.u)
+
+
 class TestStepperConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
