@@ -18,12 +18,9 @@ from .fields import Trajectory, WaveState, dealias, random_smooth_field, wave_st
 from .functionals import (
     FunctionalReport,
     energy,
-    energy_sg,
-    energy_toda,
+    equation_measures,
     evaluate_report,
     functional_J,
-    functional_J_sg,
-    functional_J_toda,
     grad_J,
     mt_residual,
 )

@@ -7,6 +7,11 @@ finitely many metric balls.  This module computes the densities, their
 ball-mass maps, a deterministic greedy point detector, and the monitor that
 evolve() consults, including the coupling-window arithmetic that fixes how
 many concentration points to look for.
+
+The monitor makes no transform and no log-sum-exp of its own on a quiet
+sample: it thresholds the gradient norm and the measures' log-integrals of
+the sample's `FunctionalReport`, which `evolve` builds from the half spectra
+it carries.  Only an alarm builds densities and runs the detector.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import _centered_log_integral
+from .functionals import equation_measures, evaluate_report
 from .rhs import CouplingConfig
 from .surface import SpectralGrid
 
@@ -140,52 +145,44 @@ def concentration_window(rho: float, step: float) -> int:
     return int(math.floor(rho / step))
 
 
-def blowup_monitor(state, cfg: CouplingConfig, thresholds: MonitorThresholds):
+def blowup_monitor(state, cfg: CouplingConfig, thresholds: MonitorThresholds, report=None):
     """Check the blow-up signatures and, when tripped, locate concentration.
 
-    Triggers when any component's gradient norm or any centred log integral
-    log int w e^{sign*a*(u - ubar)} of the equation's measures (those with
-    nonzero rho; weights and the asymmetry exponent included) exceeds the
-    thresholds; constant states, which are stationary, stay quiet.  The
-    number of points per measure comes from the coupling windows:
-    floor(rho_i / 8 pi) for the scalar families, floor(rho_i / 4 pi) per
-    component for coupled systems (critical endpoints land in the higher
-    window).  Returns (status, reports) with status "quiet" or "alarm".
+    Triggers when the report's gradient norm (the largest over components)
+    or the centred log integral log int w e^{sign*a*(u - ubar)} of any of the
+    equation's measures with nonzero rho (`functionals.equation_measures`;
+    weights and the asymmetry exponent included) exceeds the thresholds;
+    constant states, which are stationary, stay quiet.  Both are read from
+    `report`, the slice's `FunctionalReport`, which is built here only when
+    none is passed.  The number of points per measure comes from the
+    coupling windows: floor(rho_i / 8 pi) for the scalar families,
+    floor(rho_i / 4 pi) per component for coupled systems (critical
+    endpoints land in the higher window).  Returns (status, reports) with
+    status "quiet" or "alarm".
 
     The underlying dichotomy concerns a sequence of times approaching the
     singularity; sampled snapshots cannot distinguish subsequential from
     uniform behavior, so a quiet detector on an alarmed state is reported
     as-is rather than interpreted.
     """
-    g = state.grid
-    n = state.ncomp
-    grads = [g.seminorm_h1(state.u[i]) for i in range(n)]
-    # measures weight * e^{sign*scale*u}:
-    # (sign, scale, field, weight, rho, window step, component)
-    jobs = []
-    if cfg.family == "toda":
-        for j in range(n):
-            jobs.append((+1, 1.0, state.u[j], cfg.weight(j), cfg.rho[j], 4.0 * np.pi, j))
-    else:
-        rho1, rho2 = cfg.rho_pair()
-        jobs.append((+1, 1.0, state.u[0], cfg.weight(0), rho1, 8.0 * np.pi, 0))
-        jobs.append((-1, cfg.a, state.u[0], cfg.weight(1), rho2, 8.0 * np.pi, 0))
-    jobs = [job for job in jobs if job[4] != 0.0]
-
-    logints = [_centered_log_integral(g, u, sign, w, scale)
-               for (sign, scale, u, w, _, _, _) in jobs]
-    if max(grads) < thresholds.grad_l2 and max(logints, default=-np.inf) < thresholds.log_int:
+    if report is None:
+        report = evaluate_report(state, cfg)
+    watched = [(m, lg) for m, lg in zip(equation_measures(cfg), report.log_integrals)
+               if m.rho != 0.0]
+    if report.grad_l2 < thresholds.grad_l2 and max(
+            (lg for _, lg in watched), default=-np.inf) < thresholds.log_int:
         return "quiet", []
 
+    g = state.grid
     reports = []
-    for sign, scale, u, w, rho, step, comp in jobs:
-        m = concentration_window(rho, step)
-        if m < 1:
+    for m, _ in watched:
+        window = concentration_window(m.rho, m.window)
+        if window < 1:
             continue
-        dens, _ = g.normalized_exp(scale * u, sign, w)
-        query = ConcentrationQuery(m=m, r=thresholds.r, eps=thresholds.eps,
+        dens, _ = g.normalized_exp(m.scale * state.u[m.component], m.sign, m.weight)
+        query = ConcentrationQuery(m=window, r=thresholds.r, eps=thresholds.eps,
                                    delta=thresholds.delta)
-        reports.append(detect_concentration(g, dens, query, sign=sign, component=comp))
+        reports.append(detect_concentration(g, dens, query, sign=m.sign, component=m.component))
     return "alarm", reports
 
 

@@ -414,9 +414,9 @@ def _run_evolve(rc, out_dir, seed):
         "scenario: evolve",
         f"status: {traj.status}",
         f"samples: {len(traj.times)}",
-        f"final_t: {traj.times[-1]!r}",
-        f"E0: {e0!r}",
-        f"max_energy_drift: {max(abs(r.E - e0) / (1.0 + abs(e0)) for r in traj.reports)!r}",
+        f"final_t: {_fmt(traj.times[-1])}",
+        f"E0: {_fmt(e0)}",
+        f"max_energy_drift: {_fmt(max(abs(r.E - e0) / (1.0 + abs(e0)) for r in traj.reports))}",
     ]
     for rep in traj.concentration:
         lines.append(
@@ -473,7 +473,7 @@ def _run_resume(checkpoint, out_dir):
         "scenario: resume",
         f"resumed_from: {checkpoint}",
         f"status: {traj.status}",
-        f"final_t: {traj.times[-1]!r}",
+        f"final_t: {_fmt(traj.times[-1])}",
     ])
     return 0
 
@@ -552,7 +552,7 @@ def _run_functional_scan(rc, out_dir, seed):
             break
         e = functionals.energy(st, cfg)
         k = 0.5 * grid.norm_l2(st.v[0]) ** 2
-        j = functionals.functional_J_scalar(grid, st.u[0], cfg)
+        j = functionals.functional_J(grid, st.u, cfg)
         max_gap = max(max_gap, abs(e - (k + j)) / (1.0 + abs(e)))
     _write_report(os.path.join(out_dir, "report.txt"), [
         "scenario: functional-scan",
@@ -683,7 +683,7 @@ def run_checks(verbose=True):
         st = wave_state_new(grid, u0, u1)
         e = functionals.energy(st, cfg)
         k = 0.5 * grid.norm_l2(st.v[0]) ** 2
-        j = functionals.functional_J_scalar(grid, st.u[0], cfg)
+        j = functionals.functional_J(grid, st.u, cfg)
         assert abs(e - (k + j)) <= 1e-10 * (1.0 + abs(e))
 
     def _energy_drift():

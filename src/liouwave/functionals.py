@@ -4,20 +4,32 @@ Moser-Trudinger-type residual diagnostics.
 Scalar families:   J(u) = 1/2 ||grad u||^2 - rho1 log int h1 e^{u - ubar}
                           - (rho2/a) log int h2 e^{-a(u - ubar)}
 Coupled systems:   J(u) = 1/2 sum_ij Q_ij <grad u_i, grad u_j>
-                          - sum_i c_i log int e^{u_i - ubar_i}
+                          - sum_i c_i log int h_i e^{u_i - ubar_i}
 with Q the symmetrized inverse coupling and c_i = d_i rho_i.  The conserved
 energy adds the matching kinetic quadratic form; E = kinetic + J is an
 identity at every slice.
+
+Everything is computed in one pass over the half (rfft) spectra of the
+state.  Means are the zero modes; H1 seminorms and the Dirichlet and kinetic
+forms come from one Parseval Gram matrix per field (`_gram`, with the grid's
+Hermitian column weights), contracted with the energy form (Q = 1 for the
+scalar families).  `equation_measures` is the one list of the equation's
+measures w e^{sign*scale*u_c}; each gets one centred log-sum-exp per slice,
+which J, the report's columns, the residual and the blow-up monitor share.
+`evolve` hands the report the half spectra it carries, so a sample makes no
+transform; without them the report takes one rfft per component of u and v
+and runs the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .fields import WaveState
-from .rhs import CouplingConfig, CouplingMatrix, rhs_fields
+from .rhs import CouplingConfig, rhs_fields
 from .surface import SpectralGrid
 
 EIGHT_PI = 8.0 * np.pi
@@ -26,7 +38,10 @@ FOUR_PI = 4.0 * np.pi
 
 @dataclass
 class FunctionalReport:
-    """Diagnostics of one time slice."""
+    """Diagnostics of one time slice.
+
+    `log_integrals` holds the centred log-integral of each measure of
+    `equation_measures(cfg)`, in that order (it is not a CSV column)."""
 
     t: float
     means: tuple
@@ -39,111 +54,136 @@ class FunctionalReport:
     E: float
     mt_residual: float
     grad_l2: float
+    log_integrals: tuple
 
 
-def _centered_log_integral(grid, u, sign, weight=None, scale=1.0):
-    """log int w e^{sign*scale*(u - ubar)}."""
-    centered = scale * (u - grid.mean(u))
+@dataclass(eq=False)
+class Measure:
+    """One measure w e^{sign*scale*u_c} of the equation's nonlinearity, with
+    its coupling rho and the width of its concentration windows."""
+
+    sign: int
+    scale: float
+    weight: Optional[np.ndarray]
+    rho: float
+    window: float
+    component: int
+
+
+def equation_measures(cfg: CouplingConfig) -> list:
+    """The equation's measures, one per rho entry: h1 e^{u} and
+    h2 e^{-a u} for the scalar families (windows of 8 pi), h_j e^{u_j} per
+    component for coupled systems (windows of 4 pi).  Measures with rho = 0
+    are listed too; they enter neither J nor the monitor."""
+    if cfg.family == "toda":
+        return [Measure(+1, 1.0, cfg.weight(j), cfg.rho[j], FOUR_PI, j)
+                for j in range(cfg.matrix.n)]
+    rho1, rho2 = cfg.rho_pair()
+    return [Measure(+1, 1.0, cfg.weight(0), rho1, EIGHT_PI, 0),
+            Measure(-1, cfg.a, cfg.weight(1), rho2, EIGHT_PI, 0)]
+
+
+def _log_coefficients(cfg: CouplingConfig):
+    """The coefficient of each measure's log-integral in J."""
+    if cfg.family == "toda":
+        return cfg.matrix.log_coefficients(cfg.rho)
+    rho1, rho2 = cfg.rho_pair()
+    return rho1, rho2 / cfg.a
+
+
+def _energy_form(cfg: CouplingConfig) -> np.ndarray:
+    """The matrix contracting the Dirichlet and kinetic Gram matrices."""
+    if cfg.family == "toda":
+        return cfg.matrix.energy_form()
+    return np.ones((1, 1))
+
+
+def _stacked(u: np.ndarray) -> np.ndarray:
+    return u if u.ndim == 3 else u[None]
+
+
+def _gram(grid: SpectralGrid, modes: np.ndarray, gradient: bool) -> np.ndarray:
+    """G_ij = <f_i, f_j> in L2, or <grad f_i, grad f_j> with `gradient`, of the
+    stacked fields whose half spectra are `modes`, by Parseval."""
+    w = grid.half_column_weights
+    if gradient:
+        w = grid.lap_symbol[:, : w.size] * w
+    norm = grid.area / (grid.n1 * grid.n2) ** 2
+    n = modes.shape[0]
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            prod = modes[i].real * modes[j].real + modes[i].imag * modes[j].imag
+            out[i, j] = out[j, i] = norm * float((w * prod).sum())
+    return out
+
+
+def _form(gram: np.ndarray, q: np.ndarray) -> float:
+    """1/2 sum_ij q_ij G_ij."""
+    return 0.5 * float((q * gram).sum())
+
+
+def _means(grid: SpectralGrid, modes: np.ndarray) -> tuple:
+    """Component averages, read off the zero modes."""
+    return tuple(float(modes[i, 0, 0].real) / (grid.n1 * grid.n2) for i in range(modes.shape[0]))
+
+
+def _centered_log_integral(grid, u, mean, sign, weight=None, scale=1.0) -> float:
+    """log int w e^{sign*scale*(u - mean)}."""
+    centered = u - mean
+    if scale != 1.0:
+        centered *= scale
     return grid.log_integral_exp(centered, sign, weight)
 
 
-def _dirichlet_matrix(grid, u, q):
-    """1/2 sum_ij q_ij <grad u_i, grad u_j>, computed spectrally."""
-    n = u.shape[0]
-    modes = [grid.to_spectral(u[i]) for i in range(n)]
-    norm = grid.area / (grid.n1 * grid.n2) ** 2
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if q[i, j] == 0.0:
-                continue
-            cross = float((grid.lap_symbol * (modes[i] * np.conj(modes[j])).real).sum())
-            total += q[i, j] * cross * norm
-    return 0.5 * total
+def _functional(cfg: CouplingConfig, dirichlet: float, logs) -> float:
+    """J from the Dirichlet form and the measures' log-integrals."""
+    val = dirichlet
+    for c, lg in zip(_log_coefficients(cfg), logs):
+        if c != 0.0:
+            val -= c * lg
+    return float(val)
 
 
-def _kinetic_matrix(grid, v, q):
-    n = v.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if q[i, j] == 0.0:
-                continue
-            total += q[i, j] * grid.integrate(v[i] * v[j])
-    return 0.5 * total
-
-
-def functional_J_sg(grid: SpectralGrid, u: np.ndarray, rho1: float, rho2: float) -> float:
-    """Unweighted symmetric functional
-    1/2 ||grad u||^2 - rho1 log int e^{u-ubar} - rho2 log int e^{-u+ubar}."""
-    dir_term = 0.5 * grid.seminorm_h1(u) ** 2
-    lp = _centered_log_integral(grid, u, +1.0)
-    lm = _centered_log_integral(grid, u, -1.0)
-    return dir_term - rho1 * lp - rho2 * lm
-
-
-def functional_J_scalar(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> float:
-    """Family-correct scalar functional (weights and asymmetry included)."""
-    rho1, rho2 = cfg.rho_pair()
-    dir_term = 0.5 * grid.seminorm_h1(u) ** 2
-    val = dir_term
-    if rho1 != 0.0:
-        val -= rho1 * _centered_log_integral(grid, u, +1.0, cfg.weight(0))
-    if rho2 != 0.0:
-        val -= (rho2 / cfg.a) * _centered_log_integral(
-            grid, u, -1.0, cfg.weight(1), scale=cfg.a
-        )
-    return val
-
-
-def functional_J_toda(grid: SpectralGrid, u: np.ndarray, rho, matrix: CouplingMatrix) -> float:
-    q = matrix.energy_form()
-    coeffs = matrix.log_coefficients(rho)
-    val = _dirichlet_matrix(grid, u, q)
-    for i in range(matrix.n):
-        val -= coeffs[i] * _centered_log_integral(grid, u[i], +1.0)
-    return val
+def _residual(flavor: str, dirichlet: float, plain, ncomp: int, params) -> float:
+    """The residual of `mt_residual` from the Dirichlet form and `plain(sign,
+    i)` = log int e^{sign*(u_i - ubar_i)}."""
+    if flavor == "toda":
+        val = dirichlet
+        for i in range(ncomp):
+            val -= FOUR_PI * plain(+1, i)
+        return float(val)
+    if flavor == "standard":
+        return float(dirichlet - EIGHT_PI * plain(+1, 0))
+    if flavor == "sinh":
+        return float(dirichlet - EIGHT_PI * (plain(+1, 0) + plain(-1, 0)))
+    if flavor == "improved":
+        k, l, eps = int(params["k"]), int(params["l"]), float(params.get("eps", 0.0))
+        return float((1.0 + eps) * dirichlet - EIGHT_PI * k * plain(+1, 0)
+                     - EIGHT_PI * l * plain(-1, 0))
+    raise ValueError(f"unknown residual flavor {flavor!r}")
 
 
 def functional_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> float:
-    """Dispatch on family; u is stacked (ncomp, n1, n2)."""
-    if cfg.family == "toda":
-        return functional_J_toda(grid, u, cfg.rho, cfg.matrix)
-    return functional_J_scalar(grid, u[0], cfg)
-
-
-def energy_sg(state: WaveState, rho1: float, rho2: float) -> float:
-    """Conserved energy of the symmetric scalar flow:
-    1/2 int(|du/dt|^2 + |grad u|^2) - rho1 log int e^{u-ubar}
-    - rho2 log int e^{-u+ubar}."""
-    g = state.grid
-    u, v = state.u[0], state.v[0]
-    kin = 0.5 * g.norm_l2(v) ** 2
-    dir_term = 0.5 * g.seminorm_h1(u) ** 2
-    lp = _centered_log_integral(g, u, +1.0)
-    lm = _centered_log_integral(g, u, -1.0)
-    return kin + dir_term - rho1 * lp - rho2 * lm
-
-
-def energy_toda(state: WaveState, rho, matrix: CouplingMatrix) -> float:
-    """Conserved energy of the coupled flow (inverse-coupling contractions on
-    both the kinetic and Dirichlet terms)."""
-    g = state.grid
-    q = matrix.energy_form()
-    coeffs = matrix.log_coefficients(rho)
-    val = _kinetic_matrix(g, state.v, q) + _dirichlet_matrix(g, state.u, q)
-    for i in range(matrix.n):
-        val -= coeffs[i] * _centered_log_integral(g, state.u[i], +1.0)
-    return val
+    """The family's functional (weights and asymmetry included); u is stacked
+    (ncomp, n1, n2), or one (n1, n2) field for the scalar families."""
+    u = _stacked(u)
+    uh = grid.to_spectral_half_stack(u)
+    means = _means(grid, uh)
+    logs = [
+        _centered_log_integral(grid, u[m.component], means[m.component], m.sign, m.weight,
+                               m.scale) if c != 0.0 else 0.0
+        for m, c in zip(equation_measures(cfg), _log_coefficients(cfg))
+    ]
+    return _functional(cfg, _form(_gram(grid, uh, True), _energy_form(cfg)), logs)
 
 
 def energy(state: WaveState, cfg: CouplingConfig) -> float:
-    """Family dispatch; kinetic part plus the family-correct functional."""
-    if cfg.family == "toda":
-        return energy_toda(state, cfg.rho, cfg.matrix)
+    """Conserved energy: the kinetic form (contracted with the energy form,
+    as the Dirichlet one) plus the family's functional."""
     g = state.grid
-    kin = 0.5 * g.norm_l2(state.v[0]) ** 2
-    return kin + functional_J_scalar(g, state.u[0], cfg)
+    kinetic = _form(_gram(g, g.to_spectral_half_stack(state.v), False), _energy_form(cfg))
+    return kinetic + functional_J(g, state.u, cfg)
 
 
 def grad_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
@@ -173,78 +213,85 @@ def mt_residual(grid: SpectralGrid, u: np.ndarray, flavor: str = "standard", **p
     improved: (1+eps)/2 ||grad u||^2 - 8 k pi log int e^{u-ubar}
               - 8 l pi log int e^{-u+ubar}  (params: k, l, eps)
 
-    The geometric constant in the underlying inequalities is not explicit, so
-    residual values are diagnostics, never asserted against a bound.
+    The integrals are unweighted.  The geometric constant in the underlying
+    inequalities is not explicit, so residual values are diagnostics, never
+    asserted against a bound.
     """
+    uu = _stacked(u)
     if flavor == "toda":
-        matrix = params["matrix"]
-        uu = u if u.ndim == 3 else u[None]
-        val = _dirichlet_matrix(grid, uu, matrix.energy_form())
-        for i in range(uu.shape[0]):
-            val -= FOUR_PI * _centered_log_integral(grid, uu[i], +1.0)
-        return val
-    uu = u[0] if u.ndim == 3 else u
-    dir_term = 0.5 * grid.seminorm_h1(uu) ** 2
-    lp = _centered_log_integral(grid, uu, +1.0)
-    lm = _centered_log_integral(grid, uu, -1.0)
-    if flavor == "standard":
-        return dir_term - EIGHT_PI * lp
-    if flavor == "sinh":
-        return dir_term - EIGHT_PI * (lp + lm)
-    if flavor == "improved":
-        k, l, eps = int(params["k"]), int(params["l"]), float(params.get("eps", 0.0))
-        return (1.0 + eps) * dir_term - EIGHT_PI * k * lp - EIGHT_PI * l * lm
-    raise ValueError(f"unknown residual flavor {flavor!r}")
+        q = params["matrix"].energy_form()
+        if q.shape[0] != uu.shape[0]:
+            raise ValueError(f"expected {q.shape[0]} components, got {uu.shape[0]}")
+    else:
+        uu, q = uu[:1], np.ones((1, 1))
+    uh = grid.to_spectral_half_stack(uu)
+    means = _means(grid, uh)
+
+    def plain(sign, i):
+        return _centered_log_integral(grid, uu[i], means[i], sign)
+
+    return _residual(flavor, _form(_gram(grid, uh, True), q), plain, uu.shape[0], params)
 
 
-def evaluate_report(state: WaveState, cfg: CouplingConfig) -> FunctionalReport:
+def evaluate_report(state: WaveState, cfg: CouplingConfig, spectra=None) -> FunctionalReport:
     """Full per-slice diagnostics used by trajectory sampling.
 
-    For the scalar families log_minus is log int h2 e^{-a(u - ubar)}, the
-    measure of the equation's e^{-au} term.  For multi-component states
-    log_plus/log_minus are the max over components of
-    log int e^{+-(u_j - ubar_j)} (the blow-up monitors track the worst
-    component).
+    `spectra` = (uh, vh) are the stacked half spectra of state.u and
+    state.v; `evolve` passes the ones it carries, and then state.v is not
+    read.  Without them the report transforms state.u and state.v.
+
+    Each equation measure's centred log-integral is taken once and kept in
+    `log_integrals`.  For the scalar families log_plus is log int h1
+    e^{u - ubar} and log_minus is log int h2 e^{-a(u - ubar)}, the two
+    measures.  For coupled systems log_plus is the max over components of
+    log int h_j e^{u_j - ubar_j} (the measures) and log_minus the max of the
+    unweighted log int e^{-(u_j - ubar_j)}.  The residual is that of
+    `mt_residual` for the family (standard, sinh or toda), with unweighted
+    a = 1 integrals; a measure's value is reused where it is that integral.
     """
     g = state.grid
-    n = state.ncomp
-    means = tuple(g.mean(state.u[i]) for i in range(n))
-    v_means = tuple(g.mean(state.v[i]) for i in range(n))
-    seminorms = [g.seminorm_h1(state.u[i]) for i in range(n)]
-    grad_l2 = max(seminorms)
-    lps = [_centered_log_integral(g, state.u[i], +1.0) for i in range(n)]
-    log_plus = max(lps)
+    if spectra is None:
+        spectra = (g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v))
+    uh, vh = spectra
+    n = uh.shape[0]
+    q = _energy_form(cfg)
+    means = _means(g, uh)
+    grads = _gram(g, uh, True)
+    dirichlet = _form(grads, q)
+    kinetic = _form(_gram(g, vh, False), q)
+
+    measures = equation_measures(cfg)
+    logs = tuple(
+        _centered_log_integral(g, state.u[m.component], means[m.component], m.sign, m.weight,
+                               m.scale)
+        for m in measures
+    )
+
+    def plain(sign, i):
+        for m, lg in zip(measures, logs):
+            if m.weight is None and (m.component, m.sign, m.scale) == (i, sign, 1.0):
+                return lg
+        return _centered_log_integral(g, state.u[i], means[i], sign)
+
     if cfg.family == "toda":
-        log_minus = max(_centered_log_integral(g, state.u[i], -1.0) for i in range(n))
-        q = cfg.matrix.energy_form()
-        kinetic = _kinetic_matrix(g, state.v, q)
-        dirichlet = _dirichlet_matrix(g, state.u, q)
-        coeffs = cfg.matrix.log_coefficients(cfg.rho)
-        jval = dirichlet - float(sum(coeffs[i] * lps[i] for i in range(n)))
-        resid = mt_residual(g, state.u, "toda", matrix=cfg.matrix) if cfg.matrix.inverse is not None else float("nan")
+        log_plus = max(logs)
+        log_minus = max(plain(-1, i) for i in range(n))
+        flavor = "toda"
     else:
-        kinetic = 0.5 * g.norm_l2(state.v[0]) ** 2
-        dirichlet = 0.5 * seminorms[0] ** 2
-        jval = functional_J_scalar(g, state.u[0], cfg)
-        log_minus = _centered_log_integral(g, state.u[0], -1.0, cfg.weight(1), scale=cfg.a)
-        if cfg.family == "mean_field":
-            resid = dirichlet - EIGHT_PI * lps[0]
-        else:
-            # the sinh residual is the unweighted a = 1 integral (see mt_residual)
-            lm = log_minus
-            if cfg.a != 1.0 or cfg.weight(1) is not None:
-                lm = _centered_log_integral(g, state.u[0], -1.0)
-            resid = dirichlet - EIGHT_PI * (lps[0] + lm)
+        log_plus, log_minus = logs
+        flavor = "standard" if cfg.family == "mean_field" else "sinh"
+    jval = _functional(cfg, dirichlet, logs)
     return FunctionalReport(
-        t=state.t,
+        t=float(state.t),
         means=means,
-        v_means=v_means,
+        v_means=_means(g, vh),
         kinetic=kinetic,
         dirichlet=dirichlet,
         log_plus=log_plus,
         log_minus=log_minus,
         J=jval,
         E=kinetic + jval,
-        mt_residual=resid,
-        grad_l2=grad_l2,
+        mt_residual=_residual(flavor, dirichlet, plain, n, {}),
+        grad_l2=float(np.sqrt(grads.diagonal().max())),
+        log_integrals=logs,
     )

@@ -56,15 +56,11 @@ class _Path:
 
 
 def _path_distance(grid, a: _Path, b: _Path) -> float:
-    """sup over nodes of (H1 distance of u) + (L2 distance of v).
-
-    Parseval on the half spectrum: columns k2 = 0 and k2 = n2/2 are their
-    own Hermitian mirror and count once, every other column twice."""
+    """sup over nodes of (H1 distance of u) + (L2 distance of v), by Parseval
+    on the half spectrum with the grid's Hermitian column weights."""
     norm = grid.area / (grid.n1 * grid.n2) ** 2
-    ncol = grid.n2 // 2 + 1
-    colw = np.full(ncol, 2.0)
-    colw[0] = colw[-1] = 1.0
-    h1w = (1.0 + grid.lap_symbol[:, :ncol]) * colw
+    colw = grid.half_column_weights
+    h1w = (1.0 + grid.lap_symbol[:, : colw.size]) * colw
     du = a.uh - b.uh
     dv = a.vh - b.vh
     h1 = np.sqrt(norm * (h1w * (du.real**2 + du.imag**2)).sum(axis=(1, 2, 3)))
@@ -74,9 +70,7 @@ def _path_distance(grid, a: _Path, b: _Path) -> float:
 
 def _initial_spectra(state: WaveState):
     g = state.grid
-    u0h = np.stack([g.to_spectral_half(state.u[i]) for i in range(state.ncomp)])
-    v0h = np.stack([g.to_spectral_half(state.v[i]) for i in range(state.ncomp)])
-    return u0h, v0h
+    return g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v)
 
 
 def _propagate(u0h, v0h, tables, m, forcing) -> _Path:
@@ -103,10 +97,8 @@ def _free_path(u0h, v0h, tables, m) -> _Path:
 def _apply_solution_map(grid, cfg, path: _Path, u0h, v0h, tables, mask) -> _Path:
     """F(path): propagate the initial data with forcing frozen at the nodes
     of the given path."""
-    n = u0h.shape[0]
-
     def forcing(j):
-        u_phys = np.stack([grid.to_physical_half(path.uh[j, i]) for i in range(n)])
+        u_phys = grid.to_physical_half_stack(path.uh[j])
         return _forcing_half(grid, rhs_fields(grid, u_phys, cfg), mask)
 
     return _propagate(u0h, v0h, tables, path.uh.shape[0] - 1, forcing)
@@ -134,7 +126,6 @@ def picard_solve(
     m = max(1, int(round(T / h)))
     tables = StepTables(g, h)
     mask = g.dealias_mask if dealias else None
-    n = state.ncomp
     u0h, v0h = _initial_spectra(state)
 
     path = _free_path(u0h, v0h, tables, m)
@@ -159,9 +150,8 @@ def picard_solve(
 
     states = []
     for j in range(m + 1):
-        u = np.stack([g.to_physical_half(path.uh[j, i]) for i in range(n)])
-        v = np.stack([g.to_physical_half(path.vh[j, i]) for i in range(n)])
-        states.append(WaveState(g, state.t + j * h, u, v))
+        states.append(WaveState(g, state.t + j * h, g.to_physical_half_stack(path.uh[j]),
+                                g.to_physical_half_stack(path.vh[j])))
     report = PicardReport(
         R=picard_radius(state),
         T=m * h,

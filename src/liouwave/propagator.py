@@ -17,17 +17,20 @@ spectra.  The step and the Picard solution map both run through it.
 The state is carried in mode space.  `_step`, the one stepping primitive,
 maps the half spectra (uh, vh) plus the physical u that the forcing needs to
 the next such triple, so a symmetric step costs 2 forward + 2 inverse
-transforms per component (the frozen step 1 + 1).  `evolve` makes the
-physical v by one inverse transform per component only where a sample,
-checkpoint or final state needs it.  `_step_arrays` (physical in and out)
+transforms per component (the frozen step 1 + 1).  Samples read what
+`evolve` carries: the report and the monitor get the half spectra and the
+physical u, so a sample makes no transform.  The physical v is made, by one
+inverse transform per component, only at checkpoint steps and for the
+final state.  `_step_arrays` (physical in and out)
 is `_step` between forward transforms of u and v and an inverse transform
 of the new v; `duhamel_step` calls it, and so does `linear_flow`, as one
 frozen step with zero forcing.
 
 Checkpoint steps are canonical: at every step that `evolve` snapshots, the
 carried spectra are replaced by the transforms of the physical u and v it
-stores, so a run resumed from that snapshot (with the same checkpoint
-cadence) repeats the uninterrupted run bit for bit.
+stores, and the step's sample reads those, so a run resumed from that
+snapshot (with the same checkpoint cadence) repeats the uninterrupted run
+bit for bit.
 """
 
 from __future__ import annotations
@@ -115,27 +118,11 @@ def apply_sinc(grid: SpectralGrid, t: float, modes: np.ndarray) -> np.ndarray:
     return modes * _mode_factors(grid, t)[1]
 
 
-def _to_half(grid, fields):
-    """Half spectra of stacked real fields, one rfft per component."""
-    out = np.empty((fields.shape[0], grid.n1, grid.n2 // 2 + 1), dtype=np.complex128)
-    for i in range(fields.shape[0]):
-        out[i] = grid.to_spectral_half(fields[i])
-    return out
-
-
-def _to_physical(grid, modes):
-    """Stacked real fields of stacked half spectra, one irfft per component."""
-    out = np.empty((modes.shape[0], grid.n1, grid.n2))
-    for i in range(modes.shape[0]):
-        out[i] = grid.to_physical_half(modes[i])
-    return out
-
-
 def _forcing_half(grid, f, mask):
     """Half spectra of the stacked forcing fields f, dealiased by `mask` (full
     layout, or None) and with the zero mode removed, which makes the
     component averages evolve exactly as ubar + t*vbar."""
-    fh = _to_half(grid, f)
+    fh = grid.to_spectral_half_stack(f)
     if mask is not None:
         fh *= mask[:, : grid.n2 // 2 + 1]
     fh[:, 0, 0] = 0.0
@@ -158,18 +145,18 @@ def _step(grid, uh, vh, u, tables, rhs_eval, scheme, mask):
         # averaged forcing
         for i in range(u.shape[0]):
             kernels.gautschi_combine(*tables.factors, uh[i], vh[i], fh[i], uh_new[i])
-        f1h = _forcing_half(grid, rhs_eval(_to_physical(grid, uh_new)), mask)
+        f1h = _forcing_half(grid, rhs_eval(grid.to_physical_half_stack(uh_new)), mask)
         fh = 0.5 * (fh + f1h)
     for i in range(u.shape[0]):
         kernels.gautschi_combine(*tables.factors, uh[i], vh[i], fh[i], uh_new[i], vh_new[i])
-    return uh_new, vh_new, _to_physical(grid, uh_new)
+    return uh_new, vh_new, grid.to_physical_half_stack(uh_new)
 
 
 def _step_arrays(grid, u, v, tables, rhs_eval, scheme, mask):
     """One step on stacked physical arrays; returns new (u, v)."""
-    _, vh, u_new = _step(grid, _to_half(grid, u), _to_half(grid, v), u, tables, rhs_eval,
-                         scheme, mask)
-    return u_new, _to_physical(grid, vh)
+    uh, vh = grid.to_spectral_half_stack(u), grid.to_spectral_half_stack(v)
+    _, vh, u_new = _step(grid, uh, vh, u, tables, rhs_eval, scheme, mask)
+    return u_new, grid.to_physical_half_stack(vh)
 
 
 def linear_flow(state: WaveState, t: float) -> WaveState:
@@ -223,22 +210,26 @@ def evolve(
 
     traj = Trajectory()
     u, v = state.u.copy(), state.v.copy()
-    uh, vh = _to_half(g, u), _to_half(g, v)
+    uh, vh = g.to_spectral_half_stack(u), g.to_spectral_half_stack(v)
     t = state.t
 
     def current_state():
         """The physical state; v is made from vh when a step made it stale."""
         nonlocal v
         if v is None:
-            v = _to_physical(g, vh)
+            v = g.to_physical_half_stack(vh)
         return WaveState(g, t, u, v)
 
     def sample() -> bool:
-        """Record a report; returns True when the monitor raises the alarm."""
+        """Record a report; returns True when the monitor raises the alarm.
+        Report and monitor read the carried spectra and the physical u, so
+        a sample makes no transform (state.v may be stale, None)."""
+        state_t = WaveState(g, t, u, v)
+        report = evaluate_report(state_t, cfg, spectra=(uh, vh))
         traj.times.append(t)
-        traj.reports.append(evaluate_report(current_state(), cfg))
+        traj.reports.append(report)
         if monitor is not None:
-            status, reports = blowup_monitor(current_state(), cfg, monitor)
+            status, reports = blowup_monitor(state_t, cfg, monitor, report=report)
             if status == "alarm":
                 traj.concentration = reports
                 return True
@@ -270,7 +261,7 @@ def evolve(
         if snapshot_every and gk % snapshot_every == 0:
             traj.snapshots.append((gk, current_state().clone()))
             # canonical step: a resume from this snapshot starts from these spectra
-            uh, vh = _to_half(g, u), _to_half(g, v)
+            uh, vh = g.to_spectral_half_stack(u), g.to_spectral_half_stack(v)
         hard_stop = max_u >= stepper.max_abs_u
         if gk % stepper.sample_every == 0 or k == n_steps or hard_stop:
             if sample():

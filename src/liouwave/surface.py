@@ -37,9 +37,10 @@ class SpectralGrid:
     """Uniform n1 x n2 sampling of the flat torus with periods (L1, L2).
 
     Carries the per-mode Laplacian symbol lam(k1,k2) = (2*pi*k1/L1)^2 +
-    (2*pi*k2/L2)^2 in FFT ordering, the two-thirds dealias mask, and the
-    quadrature weight area/(n1*n2).  All methods are pure; a grid is safe to
-    share between threads.
+    (2*pi*k2/L2)^2 in FFT ordering, the two-thirds dealias mask, the
+    quadrature weight area/(n1*n2), and the Parseval column weights of the
+    half (rfft) spectrum.  All methods are pure; a grid is safe to share
+    between threads.
     """
 
     def __init__(self, n1: int, n2: int, L1: float = TWO_PI, L2: float = TWO_PI):
@@ -63,6 +64,11 @@ class SpectralGrid:
             np.abs(self.k2[None, :]) <= n2 // 3
         )
 
+        # Parseval on the half spectrum: columns k2 = 0 and k2 = n2/2 are
+        # their own Hermitian mirror and count once, every other column twice
+        self.half_column_weights = np.full(n2 // 2 + 1, 2.0)
+        self.half_column_weights[0] = self.half_column_weights[-1] = 1.0
+
         self.x1 = np.arange(n1) * (self.L1 / n1)
         self.x2 = np.arange(n2) * (self.L2 / n2)
 
@@ -85,6 +91,22 @@ class SpectralGrid:
 
     def to_physical_half(self, modes: np.ndarray) -> np.ndarray:
         return scipy.fft.irfft2(modes, s=(self.n1, self.n2), workers=_workers())
+
+    def to_spectral_half_stack(self, fields: np.ndarray) -> np.ndarray:
+        """Half spectra of stacked real fields (ncomp, n1, n2), one rfft per
+        component."""
+        out = np.empty((fields.shape[0], self.n1, self.n2 // 2 + 1), dtype=np.complex128)
+        for i in range(fields.shape[0]):
+            out[i] = self.to_spectral_half(fields[i])
+        return out
+
+    def to_physical_half_stack(self, modes: np.ndarray) -> np.ndarray:
+        """Stacked real fields of stacked half spectra, one irfft per
+        component."""
+        out = np.empty((modes.shape[0], self.n1, self.n2))
+        for i in range(modes.shape[0]):
+            out[i] = self.to_physical_half(modes[i])
+        return out
 
     def dealias(self, modes: np.ndarray) -> np.ndarray:
         """Zero every mode outside the two-thirds band; idempotent."""

@@ -25,7 +25,7 @@ from liouwave import (
     detect_concentration,
     energy,
     evolve,
-    functional_J_sg,
+    functional_J,
     grad_J,
     make_torus_grid,
     picard_solve,
@@ -258,7 +258,7 @@ def test_criterion_8_supercritical_concentration():
     detections = {}
     for lam in lams:
         u = bubble_field(grid, center, lam)
-        jvals.append(functional_J_sg(grid, u, 10 * np.pi, 0.0))
+        jvals.append(functional_J(grid, u, CouplingConfig("sinh_gordon", (10 * np.pi, 0.0))))
         dens = density(grid, u, +1.0)
         detections[lam] = detect_concentration(
             grid, dens, ConcentrationQuery(m=1, r=0.5, eps=0.1)
@@ -295,7 +295,7 @@ def test_criterion_9_quadrature_and_functional_spot_values():
     quad_ok = abs(val - 4 * np.pi**2 * i0) <= 1e-10 * 4 * np.pi**2 * i0
 
     rho1, rho2 = 4 * np.pi, 3 * np.pi
-    j0 = functional_J_sg(grid, np.zeros((64, 64)), rho1, rho2)
+    j0 = functional_J(grid, np.zeros((64, 64)), CouplingConfig("sinh_gordon", (rho1, rho2)))
     j_ok = abs(j0 + (rho1 + rho2) * LOG_AREA) <= 1e-12 * abs(j0)
 
     cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
@@ -307,7 +307,7 @@ def test_criterion_9_quadrature_and_functional_spot_values():
         st = wave_state_new(grid, u0, u1)
         e = energy(st, cfg)
         k = 0.5 * grid.norm_l2(st.v[0]) ** 2
-        j = functional_J_sg(grid, st.u[0], 4 * np.pi, 4 * np.pi)
+        j = functional_J(grid, st.u, cfg)
         worst = max(worst, abs(e - (k + j)) / (1.0 + abs(e)))
     identity_ok = worst <= 1e-10
     report(
@@ -348,8 +348,8 @@ def test_criterion_10_stability_and_gradient():
     errs = []
     for eps in (1e-3, 1e-4):
         fd = (
-            functional_J_sg(grid, u + eps * phi, 8 * np.pi, 0.0)
-            - functional_J_sg(grid, u - eps * phi, 8 * np.pi, 0.0)
+            functional_J(grid, u + eps * phi, fd_cfg)
+            - functional_J(grid, u - eps * phi, fd_cfg)
         ) / (2 * eps)
         errs.append(abs(fd - inner))
     ratio = errs[0] / errs[1]

@@ -13,7 +13,7 @@ from liouwave import (
     density,
     detect_concentration,
     direct_ball_mass,
-    functional_J_sg,
+    functional_J,
     random_smooth_field,
     wave_state_new,
 )
@@ -222,8 +222,9 @@ class TestBubbleField:
             bubble_field(grid64, (0.0, 0.0), 0.5)
 
     def test_J_decreasing_supercritical(self, grid64):
+        cfg = CouplingConfig("sinh_gordon", (10 * np.pi, 0.0))
         vals = [
-            functional_J_sg(grid64, bubble_field(grid64, (np.pi, np.pi), lam), 10 * np.pi, 0.0)
+            functional_J(grid64, bubble_field(grid64, (np.pi, np.pi), lam), cfg)
             for lam in (2.0, 4.0, 8.0, 16.0, 32.0)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))

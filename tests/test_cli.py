@@ -176,6 +176,27 @@ class TestRunScenarios:
         assert rows[-1].split(",")[status_col] == "completed"
         assert all(float(r.split(",")[drift_col]) <= 1e-6 for r in rows[1:])
 
+    @pytest.mark.parametrize("family", ["mean_field", "sinh_gordon", "asymmetric_sinh", "toda"])
+    def test_report_values_parse(self, tmp_path, family):
+        # every value line of report.txt is a plain float literal
+        keys = {
+            "mean_field": "rho1 = 6.0\n",
+            "sinh_gordon": "rho1 = 6.0\nrho2 = 6.0\n",
+            "asymmetric_sinh": "rho1 = 6.0\nrho2 = 6.0\na = 2.0\n",
+            "toda": "rho1 = 3.0\nrho2 = 3.0\n",
+        }
+        cfg_text = (
+            f"scenario = evolve\nfamily = {family}\n" + keys[family]
+            + "grid.n1 = 16\ngrid.n2 = 16\nT = 0.1\nh = 0.01\nsample_every = 5\n"
+        )
+        out = tmp_path / family
+        assert cli.run(cli.parse_config(cfg_text), str(out)) == 0
+        lines = dict(
+            line.split(": ", 1) for line in (out / "report.txt").read_text().splitlines()
+        )
+        for key in ("final_t", "E0", "max_energy_drift"):
+            float(lines[key])
+
     def test_seed_changes_output(self, tmp_path):
         rc = cli.parse_config(BASE_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,17 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from liouwave import (
     CouplingConfig,
+    StepperConfig,
     bubble_field,
     cartan_matrix,
     energy,
-    energy_sg,
-    energy_toda,
     evaluate_report,
+    evolve,
     functional_J,
-    functional_J_sg,
-    functional_J_toda,
     grad_J,
     mt_residual,
     random_smooth_field,
@@ -21,21 +21,59 @@ from liouwave import (
 LOG_AREA = np.log(4 * np.pi**2)
 
 
+def sinh(rho1, rho2):
+    return CouplingConfig("sinh_gordon", (rho1, rho2))
+
+
+def toda_a2(rho, matrix=None, weights=None):
+    return CouplingConfig("toda", rho, matrix=matrix or cartan_matrix("A", 2), weights=weights)
+
+
+def two_weights(grid):
+    """1 + 0.5 cos x1 and 1 + 0.3 sin x2."""
+    x1, x2 = grid.mesh()
+    return ((1.0 + 0.5 * np.cos(x1)) * np.ones((1, grid.n2)),
+            (1.0 + 0.3 * np.sin(x2)) * np.ones((grid.n1, 1)))
+
+
+def seeded_state(grid, ncomp, seed=11, amplitude=6.0, vel_amplitude=3.0):
+    gen = np.random.default_rng(seed)
+    u0 = np.stack([random_smooth_field(grid, gen, 4, amplitude) for _ in range(ncomp)])
+    u1 = np.stack([random_smooth_field(grid, gen, 4, vel_amplitude, zero_mean=True, norm="l2")
+                   for _ in range(ncomp)])
+    return wave_state_new(grid, u0, u1)
+
+
+def family_configs(grid):
+    """One configuration per family; the asymmetric and Toda ones weighted."""
+    w = two_weights(grid)
+    return {
+        "mean_field": CouplingConfig("mean_field", (6 * np.pi,)),
+        "sinh_gordon": sinh(4 * np.pi, 4 * np.pi),
+        "asymmetric_sinh_weighted": CouplingConfig("asymmetric_sinh", (4 * np.pi, 4 * np.pi),
+                                                   a=2.0, weights=w),
+        "toda_weighted": toda_a2((4 * np.pi, 4 * np.pi), weights=w),
+    }
+
+
+FAMILY_CASES = ["mean_field", "sinh_gordon", "asymmetric_sinh_weighted", "toda_weighted"]
+
+
 class TestFunctionalJ:
     def test_zero_field_value(self, grid64):
-        val = functional_J_sg(grid64, np.zeros((64, 64)), 3.0, 5.0)
+        val = functional_J(grid64, np.zeros((64, 64)), sinh(3.0, 5.0))
         assert val == pytest.approx(-(3.0 + 5.0) * LOG_AREA, rel=1e-13)
 
     def test_translation_invariance(self, grid32, rng):
         u = random_smooth_field(grid32, rng, 3, 1.0)
-        a = functional_J_sg(grid32, u, 8 * np.pi, 8 * np.pi)
-        b = functional_J_sg(grid32, u + 4.2, 8 * np.pi, 8 * np.pi)
+        a = functional_J(grid32, u, sinh(8 * np.pi, 8 * np.pi))
+        b = functional_J(grid32, u + 4.2, sinh(8 * np.pi, 8 * np.pi))
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_coercive_trend_along_cosine(self, grid64):
         x1, _ = grid64.mesh()
         base = np.cos(x1) * np.ones((1, 64))
-        vals = [functional_J_sg(grid64, s * base, 8 * np.pi, 8 * np.pi) for s in range(1, 9)]
+        vals = [functional_J(grid64, s * base, sinh(8 * np.pi, 8 * np.pi)) for s in range(1, 9)]
         diffs = np.diff(vals)
         # quadratic Dirichlet growth wins over the linear log terms
         assert all(d > 0 for d in diffs[1:])
@@ -46,18 +84,17 @@ class TestFunctionalJ:
         u = random_smooth_field(grid32, rng, 3, 2.0)
         lp = grid32.log_integral_exp(u - grid32.mean(u))
         assert lp > np.log(grid32.area)
-        j_small = functional_J_sg(grid32, u, 2.0, 1.0)
-        j_big = functional_J_sg(grid32, u, 5.0, 1.0)
+        j_small = functional_J(grid32, u, sinh(2.0, 1.0))
+        j_big = functional_J(grid32, u, sinh(5.0, 1.0))
         assert j_big < j_small
 
 
 class TestEnergies:
     def test_zero_state_values(self, grid32):
         z = wave_state_new(grid32, np.zeros((32, 32)), np.zeros((32, 32)))
-        assert energy_sg(z, 3.0, 5.0) == pytest.approx(-8.0 * LOG_AREA, rel=1e-13)
-        mat = cartan_matrix("A", 2)
+        assert energy(z, sinh(3.0, 5.0)) == pytest.approx(-8.0 * LOG_AREA, rel=1e-13)
         zt = wave_state_new(grid32, np.zeros((2, 32, 32)), np.zeros((2, 32, 32)))
-        assert energy_toda(zt, (3.0, 5.0), mat) == pytest.approx(-8.0 * LOG_AREA, rel=1e-13)
+        assert energy(zt, toda_a2((3.0, 5.0))) == pytest.approx(-8.0 * LOG_AREA, rel=1e-13)
 
     def test_identity_E_equals_K_plus_J(self, grid32):
         cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
@@ -72,10 +109,9 @@ class TestEnergies:
             assert abs(e - (k + j)) <= 1e-10 * (1 + abs(e))
 
     def test_toda_dirichlet_inverse_contraction(self, grid32, rng):
-        mat = cartan_matrix("A", 2)
         w = random_smooth_field(grid32, rng, 3, 1.3)
         u = np.stack([w, np.zeros((32, 32))])
-        val = functional_J_toda(grid32, u, (0.0, 0.0), mat)
+        val = functional_J(grid32, u, toda_a2((0.0, 0.0)))
         expect = 0.5 * (2.0 / 3.0) * grid32.seminorm_h1(w) ** 2
         assert val == pytest.approx(expect, rel=1e-12)
 
@@ -85,7 +121,19 @@ class TestEnergies:
         singular = coupling_matrix_from_entries([[1.0, 1.0], [1.0, 1.0]])
         zt = wave_state_new(grid32, np.zeros((2, 32, 32)), np.zeros((2, 32, 32)))
         with pytest.raises(ValueError, match="singular"):
-            energy_toda(zt, (1.0, 1.0), singular)
+            energy(zt, toda_a2((1.0, 1.0), singular))
+
+    def test_weighted_toda_energy_conserved(self, grid32):
+        # the energy's log-integrals carry the weights rhs_toda uses, so a
+        # weighted run conserves it to the scheme's second order
+        cfg = toda_a2((4 * np.pi, 4 * np.pi), weights=two_weights(grid32))
+        st = seeded_state(grid32, 2)
+        traj = evolve(st, 1.0, StepperConfig(h=1e-3, sample_every=50), cfg)
+        assert traj.status == "completed"
+        e0 = traj.reports[0].E
+        assert e0 == pytest.approx(energy(st, cfg), rel=1e-13)
+        drift = max(abs(r.E - e0) / (1.0 + abs(e0)) for r in traj.reports)
+        assert drift <= 1e-8
 
     def test_g2_energy_form_symmetric(self):
         mat = cartan_matrix("G2", 2)
@@ -111,8 +159,8 @@ class TestGradJ:
         errs = []
         for eps in (1e-3, 1e-4):
             fd = (
-                functional_J_sg(grid64, u + eps * phi, 8 * np.pi, 0.0)
-                - functional_J_sg(grid64, u - eps * phi, 8 * np.pi, 0.0)
+                functional_J(grid64, u + eps * phi, cfg)
+                - functional_J(grid64, u - eps * phi, cfg)
             ) / (2 * eps)
             errs.append(abs(fd - inner))
         ratio = errs[0] / errs[1]
@@ -135,8 +183,8 @@ class TestGradJ:
         inner = sum(grid32.integrate(gr[i] * phi[i]) for i in range(2))
         eps = 1e-4
         fd = (
-            functional_J_toda(grid32, u + eps * phi, cfg.rho, mat)
-            - functional_J_toda(grid32, u - eps * phi, cfg.rho, mat)
+            functional_J(grid32, u + eps * phi, cfg)
+            - functional_J(grid32, u - eps * phi, cfg)
         ) / (2 * eps)
         assert fd == pytest.approx(inner, rel=1e-6)
 
@@ -167,8 +215,13 @@ class TestMtResidual:
         mat = cartan_matrix("A", 2)
         u = np.stack([random_smooth_field(grid32, rng, 3, 1.0) for _ in range(2)])
         val = mt_residual(grid32, u, "toda", matrix=mat)
-        expect = functional_J_toda(grid32, u, (4 * np.pi, 4 * np.pi), mat)
+        expect = functional_J(grid32, u, toda_a2((4 * np.pi, 4 * np.pi), mat))
         assert val == pytest.approx(expect, rel=1e-12)
+
+    def test_toda_flavor_rejects_component_mismatch(self, grid32, rng):
+        u = random_smooth_field(grid32, rng, 3, 1.0)
+        with pytest.raises(ValueError, match="components"):
+            mt_residual(grid32, u, "toda", matrix=cartan_matrix("A", 2))
 
     def test_sinh_residual_bounded_on_bubbles_while_J_sinks(self, grid64):
         # lam beyond ~n/2 is unresolved on this grid, so stop at 32
@@ -176,7 +229,7 @@ class TestMtResidual:
         js, resids = [], []
         for lam in lams:
             u = bubble_field(grid64, (np.pi, np.pi), lam)
-            js.append(functional_J_sg(grid64, u, 10 * np.pi, 0.0))
+            js.append(functional_J(grid64, u, sinh(10 * np.pi, 0.0)))
             resids.append(mt_residual(grid64, u, "sinh"))
         assert all(b < a for a, b in zip(js, js[1:]))
         assert js[0] - js[-1] > 30.0
@@ -218,3 +271,44 @@ class TestEvaluateReport:
         assert rep.kinetic == 0.0
         assert rep.E == pytest.approx(energy(st, cfg), rel=1e-12)
         assert len(rep.means) == 2
+
+    def test_weighted_log_plus_is_the_equation_measure(self, grid32):
+        # log_plus is log int h1 e^{u - ubar}, the measure of J and the monitor
+        w0, _ = two_weights(grid32)
+        cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi), weights=(w0, None))
+        st = seeded_state(grid32, 1)
+        rep = evaluate_report(st, cfg)
+        u0 = st.u[0]
+        direct = np.log(grid32.integrate(w0 * np.exp(u0 - u0.mean())))
+        assert rep.log_plus == pytest.approx(direct, rel=1e-13)
+        assert rep.log_plus == pytest.approx(3.6965, abs=1e-4)
+        assert rep.log_integrals[0] == rep.log_plus
+
+    @pytest.mark.parametrize("case", FAMILY_CASES)
+    def test_report_from_spectra_matches_physical(self, grid32, case):
+        # evolve samples from the half spectra it carries; the report of the
+        # physical final state (one rfft per component) agrees to round-off
+        cfg = family_configs(grid32)[case]
+        st = seeded_state(grid32, cfg.ncomp, amplitude=2.0, vel_amplitude=1.0)
+        traj = evolve(st, 0.02, StepperConfig(h=1e-3, sample_every=10**9), cfg)
+        carried = traj.reports[-1]
+        physical = evaluate_report(traj.final_state, cfg)
+        for f in dataclasses.fields(carried):
+            a, b = getattr(carried, f.name), getattr(physical, f.name)
+            if isinstance(a, tuple):
+                assert len(a) == len(b)
+                for x, y in zip(a, b):
+                    assert x == pytest.approx(y, rel=1e-13, abs=1e-15), f.name
+            else:
+                assert a == pytest.approx(b, rel=1e-13, abs=1e-15), f.name
+
+    @pytest.mark.parametrize("case", FAMILY_CASES)
+    def test_report_values_are_floats(self, grid32, case):
+        cfg = family_configs(grid32)[case]
+        st = seeded_state(grid32, cfg.ncomp, amplitude=2.0, vel_amplitude=1.0)
+        traj = evolve(st, 0.01, StepperConfig(h=1e-3, sample_every=5), cfg)
+        for rep in traj.reports + [evaluate_report(st, cfg)]:
+            for f in dataclasses.fields(rep):
+                value = getattr(rep, f.name)
+                for x in value if isinstance(value, tuple) else (value,):
+                    assert type(x) is float, (f.name, type(x))

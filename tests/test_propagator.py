@@ -321,14 +321,64 @@ class TestSpectralState:
             [random_smooth_field(grid32, gen, 3, 0.5, zero_mean=True, norm="l2") for _ in range(ncomp)]
         )
         st = wave_state_new(grid32, u0, u1)
-        # 12 steps; samples at steps 4, 8, 12 and checkpoints at 6, 12, so the
-        # physical v is made at 4 distinct steps
+        # 12 steps; samples at steps 4, 8, 12 and checkpoints at 6, 12.  The
+        # samples read the carried spectra, so the physical v is made only at
+        # the checkpoint steps (12 is also the final state)
         traj = evolve(st, 12 * 1e-2, StepperConfig(h=1e-2, scheme=scheme, sample_every=4), cfg,
                       snapshot_every=6)
         assert traj.status == STATUS_COMPLETED and len(traj.snapshots) == 2
-        initial, rederive, v_steps = 2 * ncomp, 2 * 2 * ncomp, 4
+        initial, rederive, v_steps = 2 * ncomp, 2 * 2 * ncomp, 2
         assert counts["rfft2"] == initial + 12 * per_step * ncomp + rederive
         assert counts["irfft2"] == 12 * per_step * ncomp + v_steps * ncomp
+
+    @pytest.mark.parametrize("family, lse_per_sample", [("sinh_gordon", 2), ("toda", 4)])
+    def test_sample_cost(self, grid32, monkeypatch, family, lse_per_sample):
+        # a sample inside evolve reads the carried spectra: no transform, and
+        # one log-sum-exp per measure (Toda adds its unweighted log_minus)
+        import scipy.fft
+
+        from liouwave.surface import SpectralGrid
+
+        counts = {"fft": 0, "lse": 0, "samples": 0}
+        sampling = [False]
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                if sampling[0]:
+                    counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def in_sample(fn, key=None):
+            def wrapper(*args, **kwargs):
+                if key:
+                    counts[key] += 1
+                sampling[0] = True
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    sampling[0] = False
+
+            return wrapper
+
+        for name in ("rfft2", "irfft2", "fft2", "ifft2"):
+            monkeypatch.setattr(scipy.fft, name, counting("fft", getattr(scipy.fft, name)))
+        for name in ("log_integral_exp", "normalized_exp"):
+            monkeypatch.setattr(SpectralGrid, name, counting("lse", getattr(SpectralGrid, name)))
+        monkeypatch.setattr(prop, "evaluate_report", in_sample(prop.evaluate_report, "samples"))
+        monkeypatch.setattr(prop, "blowup_monitor", in_sample(prop.blowup_monitor))
+        if family == "toda":
+            cfg = CouplingConfig("toda", (np.pi, np.pi), matrix=cartan_matrix("A", 2))
+        else:
+            cfg = CouplingConfig("sinh_gordon", (2 * np.pi, 2 * np.pi))
+        st = acceptance_like_state(grid32, cfg.ncomp)
+        traj = evolve(st, 10 * 1e-3, StepperConfig(h=1e-3), cfg, monitor=MonitorThresholds(),
+                      snapshot_every=5)
+        assert traj.status == STATUS_COMPLETED
+        assert counts["samples"] == len(traj.reports) == 11
+        assert counts["fft"] == 0
+        assert counts["lse"] == lse_per_sample * counts["samples"]
 
     def test_checkpoint_steps_are_canonical(self, grid64):
         # a run started from a checkpoint snapshot repeats the uninterrupted
