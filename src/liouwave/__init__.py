@@ -7,6 +7,7 @@ from .blowup import (
     ConcentrationQuery,
     ConcentrationReport,
     MonitorThresholds,
+    alarm_condition,
     ball_mass_map,
     blowup_monitor,
     bubble_field,
@@ -14,7 +15,14 @@ from .blowup import (
     density,
     detect_concentration,
 )
-from .fields import Trajectory, WaveState, dealias, random_smooth_field, wave_state_new
+from .fields import (
+    StopReason,
+    Trajectory,
+    WaveState,
+    dealias,
+    random_smooth_field,
+    wave_state_new,
+)
 from .functionals import (
     FunctionalReport,
     energy,

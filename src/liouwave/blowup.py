@@ -145,13 +145,34 @@ def concentration_window(rho: float, step: float) -> int:
     return int(math.floor(rho / step))
 
 
+def _watched(cfg: CouplingConfig, report) -> list:
+    """(measure, centred log-integral) of each measure with nonzero rho."""
+    return [(m, lg) for m, lg in zip(equation_measures(cfg), report.log_integrals)
+            if m.rho != 0.0]
+
+
+def alarm_condition(report, cfg: CouplingConfig, thresholds: MonitorThresholds):
+    """The alarm condition `report` trips, as (condition, value), or None on
+    a quiet slice: "grad_l2" when the gradient norm reaches its threshold,
+    else "log_int(<measure name>)" for the watched measure with the largest
+    log-integral at or above its threshold."""
+    if not report.grad_l2 < thresholds.grad_l2:
+        return "grad_l2", report.grad_l2
+    tripped = [(lg, m.name) for m, lg in _watched(cfg, report) if not lg < thresholds.log_int]
+    if not tripped:
+        return None
+    lg, name = max(tripped, key=lambda x: x[0])
+    return f"log_int({name})", lg
+
+
 def blowup_monitor(state, cfg: CouplingConfig, thresholds: MonitorThresholds, report=None):
     """Check the blow-up signatures and, when tripped, locate concentration.
 
     Triggers when the report's gradient norm (the largest over components)
     or the centred log integral log int w e^{sign*a*(u - ubar)} of any of the
     equation's measures with nonzero rho (`functionals.equation_measures`;
-    weights and the asymmetry exponent included) exceeds the thresholds;
+    weights and the asymmetry exponent included) reaches its threshold
+    (`alarm_condition` names the one that did);
     constant states, which are stationary, stay quiet.  Both are read from
     `report`, the slice's `FunctionalReport`, which is built here only when
     none is passed.  The number of points per measure comes from the
@@ -167,19 +188,17 @@ def blowup_monitor(state, cfg: CouplingConfig, thresholds: MonitorThresholds, re
     """
     if report is None:
         report = evaluate_report(state, cfg)
-    watched = [(m, lg) for m, lg in zip(equation_measures(cfg), report.log_integrals)
-               if m.rho != 0.0]
-    if report.grad_l2 < thresholds.grad_l2 and max(
-            (lg for _, lg in watched), default=-np.inf) < thresholds.log_int:
+    if alarm_condition(report, cfg, thresholds) is None:
         return "quiet", []
 
     g = state.grid
     reports = []
-    for m, _ in watched:
+    for m, _ in _watched(cfg, report):
         window = concentration_window(m.rho, m.window)
         if window < 1:
             continue
-        dens, _ = g.normalized_exp(m.scale * state.u[m.component], m.sign, m.weight)
+        dens, _ = g.normalized_exp(m.scale * state.u[m.component], m.sign,
+                                   log_weight=m.log_weight)
         query = ConcentrationQuery(m=window, r=thresholds.r, eps=thresholds.eps,
                                    delta=thresholds.delta)
         reports.append(detect_concentration(g, dens, query, sign=m.sign, component=m.component))

@@ -1,6 +1,12 @@
 """Batch front end: flat-text configs, scenario orchestration, CSV time
 series, binary snapshots and checkpoint/resume.
 
+An evolve run (`run` or `resume`) writes its outputs as it goes: a flushed
+CSV row per sample (`TimeseriesWriter`) and each checkpoint when its step is
+reached, by atomic renames (`_write_checkpoint`), so a killed run leaves a
+prefix of its rows and complete, resumable checkpoints.  Timing goes to
+telemetry.jsonl only.
+
 Configs are "key = value" lines with '#' comments; unknown keys are errors.
 A run is deterministic given (config, seed): identical inputs produce byte
 identical CSV and snapshot files on one platform.  Scenarios:
@@ -18,11 +24,14 @@ import argparse
 import json
 import math
 import os
+import platform
 import shutil
 import struct
 import sys
+import time
 
 import numpy as np
+import scipy
 
 from . import blowup, functionals, picard, propagator, rhs
 from .fields import WaveState, random_smooth_field, wave_state_new
@@ -368,27 +377,59 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_timeseries(path, traj, e0):
-    """One CSV row per sample; the concentration columns are filled only on
-    the row where the detector ran."""
-    rows = [",".join(CSV_COLUMNS)]
-    for idx, (t, rep) in enumerate(zip(traj.times, traj.reports)):
-        last = idx == len(traj.reports) - 1
-        drift = abs(rep.E - e0) / (1.0 + abs(e0))
-        frac_p = frac_m = ""
-        if last and traj.concentration:
-            plus = [r.covered_fraction for r in traj.concentration if r.sign > 0]
-            minus = [r.covered_fraction for r in traj.concentration if r.sign < 0]
-            frac_p = _fmt(max(plus)) if plus else ""
-            frac_m = _fmt(max(minus)) if minus else ""
-        status = traj.status if last else "running"
-        rows.append(",".join([
+class TimeseriesWriter:
+    """timeseries.csv written as the run goes: one row per sample, flushed
+    as soon as it is final.  The latest row is held back until the next
+    sample or `close`, so that the run's status and the concentration
+    columns land on the last row; a run that dies leaves a prefix of its
+    rows.  `e0` is the reference energy of the drift column; None takes the
+    first sample's energy."""
+
+    def __init__(self, path, e0=None):
+        self.e0 = e0
+        self._held = None
+        self._fh = open(path, "w", encoding="utf-8", newline="\n")
+        self._fh.write(",".join(CSV_COLUMNS) + "\n")
+
+    def add(self, t, rep):
+        if self.e0 is None:
+            self.e0 = rep.E
+        if self._held is not None:
+            self._write(*self._held, "running", ())
+        self._held = (t, rep)
+
+    def close(self, status="running", concentration=()):
+        """Write the held row with `status` and the detector's reports (a
+        run that did not finish passes neither), then close the file."""
+        try:
+            if self._held is not None:
+                self._write(*self._held, status, concentration)
+        finally:
+            self._fh.close()
+
+    def _write(self, t, rep, status, concentration):
+        drift = abs(rep.E - self.e0) / (1.0 + abs(self.e0))
+        plus = [r.covered_fraction for r in concentration if r.sign > 0]
+        minus = [r.covered_fraction for r in concentration if r.sign < 0]
+        self._fh.write(",".join([
             _fmt(t), _fmt(rep.means[0]), _fmt(rep.kinetic), _fmt(rep.dirichlet),
             _fmt(rep.log_plus), _fmt(rep.log_minus), _fmt(rep.J), _fmt(rep.E),
-            _fmt(drift), _fmt(rep.grad_l2), frac_p, frac_m, status,
-        ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+            _fmt(drift), _fmt(rep.grad_l2), _fmt(max(plus)) if plus else "",
+            _fmt(max(minus)) if minus else "", status,
+        ]) + "\n")
+        self._fh.flush()
+
+
+def write_timeseries(path, traj, e0):
+    """The CSV of a finished trajectory, as `TimeseriesWriter` streams it:
+    one row per sample, the concentration columns filled only on the last
+    row, where the detector ran."""
+    writer = TimeseriesWriter(path, e0)
+    try:
+        for t, rep in zip(traj.times, traj.reports):
+            writer.add(t, rep)
+    finally:
+        writer.close(traj.status, traj.concentration)
 
 
 def _write_report(path, lines):
@@ -396,23 +437,95 @@ def _write_report(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _replace_atomically(path, write):
+    """`write(tmp)` then rename tmp to `path`: a reader sees the whole file
+    or none of it, even if the process is killed mid-write."""
+    tmp = path + ".tmp"
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def _write_checkpoint(out_dir, step_index, state, t0, e0, seed):
+    """One checkpoint: the snapshot, then its `.json` metadata (the run's
+    origin t0, initial energy and seed).  Each file appears by an atomic
+    rename, the `.json` last, so a checkpoint is complete exactly when its
+    `.json` exists."""
+    base = os.path.join(out_dir, f"checkpoint_step{step_index:08d}")
+    # a .json left in this directory by an earlier run must not vouch for the new .lwav
+    if os.path.exists(base + ".json"):
+        os.remove(base + ".json")
+    _replace_atomically(base + ".lwav", lambda p: write_snapshot(state, p))
+    meta = {"step": step_index, "t0": t0, "E0": e0, "seed": seed}
+
+    def write_meta(p):
+        with open(p, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+
+    _replace_atomically(base + ".json", write_meta)
+
+
+def _evolve_streaming(command, rc, state, out_dir, seed, t0, e0=None, first_step_index=0):
+    """`evolve` the config's flow from `state` with its outputs written as
+    the run goes: a CSV row per sample and each checkpoint as it is reached.
+    Appends one line to telemetry.jsonl.  Returns (trajectory, E0); E0 is
+    the first sample's energy unless given."""
+    stepper = build_stepper(rc)
+    csv = TimeseriesWriter(os.path.join(out_dir, "timeseries.csv"), e0)
+    spent = {"csv": 0.0, "checkpoint": 0.0}
+
+    def on_sample(t, rep):
+        start = time.perf_counter()
+        csv.add(t, rep)
+        spent["csv"] += time.perf_counter() - start
+
+    def on_checkpoint(step_index, snap):
+        # the first sample, which sets E0, precedes every checkpoint
+        start = time.perf_counter()
+        _write_checkpoint(out_dir, step_index, snap, t0, csv.e0, seed)
+        spent["checkpoint"] += time.perf_counter() - start
+
+    traj = None
+    start = time.perf_counter()
+    try:
+        traj = propagator.evolve(
+            state, rc["T"], stepper, build_coupling(rc), build_monitor(rc),
+            snapshot_every=rc["checkpoint_every"], first_step_index=first_step_index,
+            t_origin=float(t0), on_sample=on_sample, on_checkpoint=on_checkpoint,
+        )
+    finally:
+        if traj is None:
+            csv.close()
+        else:
+            csv.close(traj.status, traj.concentration)
+    wall = time.perf_counter() - start
+    steps = int(round((traj.final_state.t - state.t) / stepper.h))
+    record = {
+        "command": command, "status": traj.status, "stop_reason": _stop_text(traj),
+        "steps": steps, "wall_s": wall, "steps_per_s": steps / wall,
+        "checkpoint_write_s": spent["checkpoint"], "csv_write_s": spent["csv"],
+        "scheme": stepper.scheme, "LIOUWAVE_THREADS": os.environ.get("LIOUWAVE_THREADS"),
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    with open(os.path.join(out_dir, "telemetry.jsonl"), "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    return traj, csv.e0
+
+
+def _stop_text(traj):
+    return "none" if traj.stop_reason is None else str(traj.stop_reason)
+
+
 def _run_evolve(rc, out_dir, seed):
     grid = build_grid(rc)
-    cfg = build_coupling(rc)
     state = build_initial_state(rc, grid, seed)
-    stepper = build_stepper(rc)
-    monitor = build_monitor(rc)
-    traj = propagator.evolve(
-        state, rc["T"], stepper, cfg, monitor, snapshot_every=rc["checkpoint_every"]
-    )
-    e0 = traj.reports[0].E
-    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, e0)
-    _write_checkpoints(out_dir, traj, state.t, e0, seed)
+    traj, e0 = _evolve_streaming("run", rc, state, out_dir, seed, state.t)
     if rc["snapshot_final"] and traj.final_state is not None:
         write_snapshot(traj.final_state, os.path.join(out_dir, "final.lwav"))
     lines = [
         "scenario: evolve",
         f"status: {traj.status}",
+        f"stop_reason: {_stop_text(traj)}",
         f"samples: {len(traj.times)}",
         f"final_t: {_fmt(traj.times[-1])}",
         f"E0: {_fmt(e0)}",
@@ -428,23 +541,13 @@ def _run_evolve(rc, out_dir, seed):
     return 0
 
 
-def _write_checkpoints(out_dir, traj, t0, e0, seed):
-    """Each checkpoint snapshot of `traj`, with the run's origin t0, initial
-    energy and seed as its `.json` metadata."""
-    for step_index, snap in traj.snapshots:
-        base = os.path.join(out_dir, f"checkpoint_step{step_index:08d}")
-        write_snapshot(snap, base + ".lwav")
-        meta = {"step": step_index, "t0": t0, "E0": e0, "seed": seed}
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh)
-
-
 def _run_resume(checkpoint, out_dir):
     """Continue the run a checkpoint belongs to.  The resumed run steps with
     the config's checkpoint cadence (checkpoint steps are canonical, see
     `propagator`) and writes the checkpoints it reaches, with the original
     run's metadata and a copy of its config.used, so it can be resumed in
-    turn."""
+    turn, also after it was killed.  A checkpoint without its `.json` is
+    incomplete and refused."""
     meta_path = os.path.splitext(checkpoint)[0] + ".json"
     if not os.path.exists(meta_path):
         raise ValueError(f"missing checkpoint metadata {meta_path}")
@@ -454,25 +557,20 @@ def _run_resume(checkpoint, out_dir):
     if not os.path.exists(cfg_path):
         raise ValueError(f"missing config.used next to the checkpoint")
     rc = load_config(cfg_path)
-    grid = build_grid(rc)
-    state = read_snapshot(checkpoint, grid)
-    cfg = build_coupling(rc)
-    stepper = build_stepper(rc)
-    monitor = build_monitor(rc)
-    traj = propagator.evolve(
-        state, rc["T"], stepper, cfg, monitor, snapshot_every=rc["checkpoint_every"],
-        first_step_index=int(meta["step"]), t_origin=float(meta["t0"]),
-    )
+    state = read_snapshot(checkpoint, build_grid(rc))
     os.makedirs(out_dir, exist_ok=True)
-    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, float(meta["E0"]))
-    _write_checkpoints(out_dir, traj, meta["t0"], meta["E0"], meta["seed"])
     cfg_copy = os.path.join(out_dir, "config.used")
     if not (os.path.exists(cfg_copy) and os.path.samefile(cfg_path, cfg_copy)):
         shutil.copyfile(cfg_path, cfg_copy)
+    traj, _ = _evolve_streaming(
+        "resume", rc, state, out_dir, meta["seed"], meta["t0"], float(meta["E0"]),
+        first_step_index=int(meta["step"]),
+    )
     _write_report(os.path.join(out_dir, "report.txt"), [
         "scenario: resume",
         f"resumed_from: {checkpoint}",
         f"status: {traj.status}",
+        f"stop_reason: {_stop_text(traj)}",
         f"final_t: {_fmt(traj.times[-1])}",
     ])
     return 0

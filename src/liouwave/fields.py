@@ -44,13 +44,28 @@ class WaveState:
 
 
 @dataclass
+class StopReason:
+    """The stop condition that ended a run before its target time: its name,
+    the value that tripped it and the time of the slice it was read on."""
+
+    condition: str
+    value: float
+    t: float
+
+    def __str__(self):
+        return f"{self.condition} = {self.value!r} at t = {self.t!r}"
+
+
+@dataclass
 class Trajectory:
-    """Sampled run: times, per-sample functional reports, termination status."""
+    """Sampled run: times, per-sample functional reports, termination status
+    and, unless the run reached its target time, the condition that stopped
+    it."""
 
     times: list = field(default_factory=list)
     reports: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)  # (step_index, WaveState)
     status: str = STATUS_COMPLETED
+    stop_reason: Optional[StopReason] = None
     concentration: list = field(default_factory=list)
     final_state: Optional[WaveState] = None
 

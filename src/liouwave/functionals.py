@@ -60,14 +60,16 @@ class FunctionalReport:
 @dataclass(eq=False)
 class Measure:
     """One measure w e^{sign*scale*u_c} of the equation's nonlinearity, with
-    its coupling rho and the width of its concentration windows."""
+    the log of its weight (None when unweighted), its coupling rho, the width
+    of its concentration windows and a name for alarms."""
 
     sign: int
     scale: float
-    weight: Optional[np.ndarray]
+    log_weight: Optional[np.ndarray]
     rho: float
     window: float
     component: int
+    name: str
 
 
 def equation_measures(cfg: CouplingConfig) -> list:
@@ -76,11 +78,12 @@ def equation_measures(cfg: CouplingConfig) -> list:
     component for coupled systems (windows of 4 pi).  Measures with rho = 0
     are listed too; they enter neither J nor the monitor."""
     if cfg.family == "toda":
-        return [Measure(+1, 1.0, cfg.weight(j), cfg.rho[j], FOUR_PI, j)
+        return [Measure(+1, 1.0, cfg.log_weight(j), cfg.rho[j], FOUR_PI, j, f"e^{{u_{j + 1}}}")
                 for j in range(cfg.matrix.n)]
     rho1, rho2 = cfg.rho_pair()
-    return [Measure(+1, 1.0, cfg.weight(0), rho1, EIGHT_PI, 0),
-            Measure(-1, cfg.a, cfg.weight(1), rho2, EIGHT_PI, 0)]
+    minus = "e^{-u}" if cfg.a == 1.0 else f"e^{{-{cfg.a:g}u}}"
+    return [Measure(+1, 1.0, cfg.log_weight(0), rho1, EIGHT_PI, 0, "e^{u}"),
+            Measure(-1, cfg.a, cfg.log_weight(1), rho2, EIGHT_PI, 0, minus)]
 
 
 def _log_coefficients(cfg: CouplingConfig):
@@ -128,12 +131,12 @@ def _means(grid: SpectralGrid, modes: np.ndarray) -> tuple:
     return tuple(float(modes[i, 0, 0].real) / (grid.n1 * grid.n2) for i in range(modes.shape[0]))
 
 
-def _centered_log_integral(grid, u, mean, sign, weight=None, scale=1.0) -> float:
-    """log int w e^{sign*scale*(u - mean)}."""
+def _centered_log_integral(grid, u, mean, sign, log_weight=None, scale=1.0) -> float:
+    """log int w e^{sign*scale*(u - mean)}, w = e^{log_weight}."""
     centered = u - mean
     if scale != 1.0:
         centered *= scale
-    return grid.log_integral_exp(centered, sign, weight)
+    return grid.log_integral_exp(centered, sign, log_weight=log_weight)
 
 
 def _functional(cfg: CouplingConfig, dirichlet: float, logs) -> float:
@@ -171,7 +174,7 @@ def functional_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> floa
     uh = grid.to_spectral_half_stack(u)
     means = _means(grid, uh)
     logs = [
-        _centered_log_integral(grid, u[m.component], means[m.component], m.sign, m.weight,
+        _centered_log_integral(grid, u[m.component], means[m.component], m.sign, m.log_weight,
                                m.scale) if c != 0.0 else 0.0
         for m, c in zip(equation_measures(cfg), _log_coefficients(cfg))
     ]
@@ -196,7 +199,7 @@ def grad_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray
         out = np.einsum("ij,jxy->ixy", q, lap)
         inv_area = 1.0 / grid.area
         for i in range(cfg.matrix.n):
-            dens, _ = grid.normalized_exp(u[i], 1.0, cfg.weight(i))
+            dens, _ = grid.normalized_exp(u[i], 1.0, log_weight=cfg.log_weight(i))
             out[i] -= coeffs[i] * (dens - inv_area)
         return out
     uu = u[0] if u.ndim == 3 else u
@@ -262,14 +265,14 @@ def evaluate_report(state: WaveState, cfg: CouplingConfig, spectra=None) -> Func
 
     measures = equation_measures(cfg)
     logs = tuple(
-        _centered_log_integral(g, state.u[m.component], means[m.component], m.sign, m.weight,
+        _centered_log_integral(g, state.u[m.component], means[m.component], m.sign, m.log_weight,
                                m.scale)
         for m in measures
     )
 
     def plain(sign, i):
         for m, lg in zip(measures, logs):
-            if m.weight is None and (m.component, m.sign, m.scale) == (i, sign, 1.0):
+            if m.log_weight is None and (m.component, m.sign, m.scale) == (i, sign, 1.0):
                 return lg
         return _centered_log_integral(g, state.u[i], means[i], sign)
 

@@ -26,11 +26,15 @@ is `_step` between forward transforms of u and v and an inverse transform
 of the new v; `duhamel_step` calls it, and so does `linear_flow`, as one
 frozen step with zero forcing.
 
-Checkpoint steps are canonical: at every step that `evolve` snapshots, the
-carried spectra are replaced by the transforms of the physical u and v it
-stores, and the step's sample reads those, so a run resumed from that
-snapshot (with the same checkpoint cadence) repeats the uninterrupted run
-bit for bit.
+Checkpoint steps are canonical: at every step whose global index is a
+multiple of `snapshot_every`, `evolve` hands the physical state to
+`on_checkpoint` and then replaces the carried spectra by the transforms of
+that u and v, and the step's sample reads those, so a run resumed from that
+state (with the same checkpoint cadence) repeats the uninterrupted run bit
+for bit.  `evolve` keeps no checkpoint itself: the callback gets the live
+state, which a caller that keeps it clones, so a run's memory does not grow
+with its number of checkpoints.  Samples leave the same way, through
+`on_sample`, as they are taken.
 """
 
 from __future__ import annotations
@@ -41,12 +45,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .blowup import MonitorThresholds, blowup_monitor
+from .blowup import MonitorThresholds, alarm_condition, blowup_monitor
 from .fields import (
     STATUS_BLOWUP,
     STATUS_COMPLETED,
     STATUS_MAXSTEPS,
     STATUS_NONFINITE,
+    StopReason,
     Trajectory,
     WaveState,
 )
@@ -188,13 +193,20 @@ def evolve(
     snapshot_every: int = 0,
     first_step_index: int = 0,
     t_origin: Optional[float] = None,
+    on_sample: Optional[Callable] = None,
+    on_checkpoint: Optional[Callable] = None,
 ) -> Trajectory:
     """Run the fixed-step flow from state.t to T (rounded to a whole number
     of steps) with functional sampling and optional blow-up monitoring.
 
-    Numeric stop conditions terminate with a recorded status, never an
-    exception.  `first_step_index`/`t_origin` keep sampling phase and time
-    arithmetic identical when a run is resumed from a checkpoint.
+    Numeric stop conditions terminate with a recorded status and
+    `stop_reason`, never an exception.  `first_step_index`/`t_origin` keep
+    sampling phase and time arithmetic identical when a run is resumed from
+    a checkpoint.  `on_sample(t, report)` is called with each sample as it
+    is taken; at each checkpoint step (global step index a multiple of
+    `snapshot_every`, 0 for none) `on_checkpoint(step_index, state)` gets
+    the live state, to be cloned by a caller that keeps it.  An exception
+    raised by a callback ends the run and propagates.
     """
     g = state.grid
     if T < state.t:
@@ -220,26 +232,32 @@ def evolve(
             v = g.to_physical_half_stack(vh)
         return WaveState(g, t, u, v)
 
+    def stop(condition, value):
+        traj.stop_reason = StopReason(condition, float(value), float(t))
+
     def sample() -> bool:
-        """Record a report; returns True when the monitor raises the alarm.
-        Report and monitor read the carried spectra and the physical u, so
-        a sample makes no transform (state.v may be stale, None)."""
+        """Record a report; returns True, with the stop reason set, when the
+        monitor raises the alarm or the gradient norm reaches its hard
+        limit.  Report and monitor read the carried spectra and the physical
+        u, so a sample makes no transform (state.v may be stale, None)."""
         state_t = WaveState(g, t, u, v)
         report = evaluate_report(state_t, cfg, spectra=(uh, vh))
         traj.times.append(t)
         traj.reports.append(report)
+        if on_sample is not None:
+            on_sample(t, report)
         if monitor is not None:
             status, reports = blowup_monitor(state_t, cfg, monitor, report=report)
             if status == "alarm":
                 traj.concentration = reports
+                stop(*alarm_condition(report, cfg, monitor))
                 return True
+        if report.grad_l2 >= stepper.max_grad_l2:
+            stop("max_grad_l2", report.grad_l2)
+            return True
         return False
 
     if sample():
-        traj.status = STATUS_BLOWUP
-        traj.final_state = current_state().clone()
-        return traj
-    if traj.reports[-1].grad_l2 >= stepper.max_grad_l2:
         traj.status = STATUS_BLOWUP
         traj.final_state = current_state().clone()
         return traj
@@ -250,6 +268,7 @@ def evolve(
             uh, vh, u = _step(g, uh, vh, u, tables, rhs_eval, stepper.scheme, mask)
         except DynamicRangeError:
             status = STATUS_NONFINITE
+            stop("non_finite", np.nan)
             break
         v = None
         gk = first_step_index + k
@@ -257,21 +276,27 @@ def evolve(
         max_u = float(np.abs(u).max())
         if not (np.isfinite(max_u) and np.isfinite(vh).all()):
             status = STATUS_NONFINITE
+            stop("non_finite", max_u)
             break
         if snapshot_every and gk % snapshot_every == 0:
-            traj.snapshots.append((gk, current_state().clone()))
-            # canonical step: a resume from this snapshot starts from these spectra
+            checkpoint = current_state()
+            if on_checkpoint is not None:
+                on_checkpoint(gk, checkpoint)
+            # canonical step: a resume from this state starts from these spectra
             uh, vh = g.to_spectral_half_stack(u), g.to_spectral_half_stack(v)
         hard_stop = max_u >= stepper.max_abs_u
         if gk % stepper.sample_every == 0 or k == n_steps or hard_stop:
             if sample():
                 status = STATUS_BLOWUP
                 break
-            if traj.reports[-1].grad_l2 >= stepper.max_grad_l2 or hard_stop:
+            if hard_stop:
+                stop("max_abs_u", max_u)
                 status = STATUS_BLOWUP
                 break
     else:
-        status = STATUS_MAXSTEPS if capped else STATUS_COMPLETED
+        if capped:
+            status = STATUS_MAXSTEPS
+            stop("max_steps", n_steps)
 
     traj.status = status
     traj.final_state = current_state().clone()

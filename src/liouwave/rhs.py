@@ -143,7 +143,9 @@ class CouplingConfig:
     rho has length 1 (mean_field), 2 (sinh_gordon, asymmetric_sinh) or n
     (toda, with `matrix` of rank n).  `a` is the asymmetry exponent of the
     e^{-a u} measure and must be 1 except for asymmetric_sinh.  Weights, when
-    given, are strictly positive fields, one per measure.
+    given, are strictly positive fields, one per measure; their logs are
+    taken once, here, and every log-sum-exp of a weighted measure adds them
+    (`log_weight`).
     """
 
     family: str
@@ -152,6 +154,7 @@ class CouplingConfig:
     weights: Optional[tuple] = None
     matrix: Optional[CouplingMatrix] = None
     weight_bound: float = field(init=False, default=1.0)
+    log_weights: Optional[tuple] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -191,6 +194,7 @@ class CouplingConfig:
                     raise ValueError("weights must be strictly positive")
                 bound = max(bound, float(w.max()), float(1.0 / w.min()))
             self.weight_bound = bound
+            self.log_weights = tuple(None if w is None else np.log(w) for w in self.weights)
 
     @property
     def ncomp(self) -> int:
@@ -200,10 +204,11 @@ class CouplingConfig:
     def ncomp_measures(self) -> int:
         return self.matrix.n if self.family == "toda" else 2
 
-    def weight(self, i: int):
-        if self.weights is None:
+    def log_weight(self, i: int):
+        """log of measure i's weight field, or None when it is unweighted."""
+        if self.log_weights is None:
             return None
-        return self.weights[i]
+        return self.log_weights[i]
 
     def rho_pair(self):
         """(rho1, rho2) with rho2 = 0 for the mean-field family."""
@@ -214,11 +219,11 @@ class CouplingConfig:
         return self.rho[0], self.rho[1]
 
 
-def _measure_density(grid, expo, weight):
-    """Normalized density of w * e^{expo} via log-sum-exp; rejects states
-    whose exponent is out of range."""
+def _measure_density(grid, expo, log_weight):
+    """Normalized density of w * e^{expo} (w = e^{log_weight}) via
+    log-sum-exp; rejects states whose exponent is out of range."""
     try:
-        dens, _ = grid.normalized_exp(expo, 1.0, weight)
+        dens, _ = grid.normalized_exp(expo, 1.0, log_weight=log_weight)
     except ValueError as exc:
         raise DynamicRangeError("state out of dynamic range") from exc
     return dens
@@ -237,12 +242,12 @@ def rhs_scalar(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.nda
     # the -1/|M| offsets are constants, so they drop out under the final
     # mean subtraction
     if rho1 != 0.0:
-        out = _measure_density(grid, u, cfg.weight(0))
+        out = _measure_density(grid, u, cfg.log_weight(0))
         out *= rho1
         if rho2 != 0.0:
-            out -= rho2 * _measure_density(grid, -cfg.a * u, cfg.weight(1))
+            out -= rho2 * _measure_density(grid, -cfg.a * u, cfg.log_weight(1))
     elif rho2 != 0.0:
-        out = _measure_density(grid, -cfg.a * u, cfg.weight(1))
+        out = _measure_density(grid, -cfg.a * u, cfg.log_weight(1))
         out *= -rho2
     else:
         return np.zeros_like(u)
@@ -261,7 +266,7 @@ def rhs_toda(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarr
     inv_area = 1.0 / grid.area
     g = np.empty_like(u)
     for j in range(n):
-        g[j] = _measure_density(grid, u[j], cfg.weight(j)) - inv_area
+        g[j] = _measure_density(grid, u[j], cfg.log_weight(j)) - inv_area
     coeff = cfg.matrix.entries * np.asarray(cfg.rho)[None, :]
     out = np.einsum("ij,jxy->ixy", coeff, g)
     out -= out.mean(axis=(1, 2), keepdims=True)

@@ -33,6 +33,24 @@ def _require_finite(values, what="field"):
         raise ValueError(f"{what} contains non-finite values")
 
 
+def _check_sign(sign):
+    if sign not in (1.0, -1.0, 1, -1):
+        raise ValueError("sign must be +1 or -1")
+
+
+def _log_weight(weight, shape, log_weight):
+    """The log-weight a log-sum-exp adds: `log_weight` as given, or the log of
+    `weight` after checking its shape and positivity (None for neither)."""
+    if weight is None:
+        return log_weight
+    weight = np.asarray(weight, dtype=float)
+    if weight.shape != shape:
+        raise ValueError("weight shape does not match field")
+    if not np.all(weight > 0):
+        raise ValueError("weight must be strictly positive")
+    return np.log(weight)
+
+
 class SpectralGrid:
     """Uniform n1 x n2 sampling of the flat torus with periods (L1, L2).
 
@@ -140,43 +158,37 @@ class SpectralGrid:
 
     # -- stable exponentials --------------------------------------------------
 
-    def log_integral_exp(self, values, sign: float = 1.0, weight=None) -> float:
+    def log_integral_exp(self, values, sign: float = 1.0, weight=None, log_weight=None) -> float:
         """log of integral of w * e^(sign*f), evaluated as a log-sum-exp.
 
-        `sign` is +1 or -1; a strictly positive weight field may be supplied.
-        Safe for |f| up to ~700.
+        `sign` is +1 or -1; a strictly positive weight field may be supplied,
+        or its log (`log_weight`, taken once by the caller, e.g.
+        `CouplingConfig.log_weight`).  Safe for |f| up to ~700.
         """
-        if sign not in (1.0, -1.0, 1, -1):
-            raise ValueError("sign must be +1 or -1")
+        _check_sign(sign)
         _require_finite(values)
         g = sign * values
-        if weight is not None:
-            weight = np.asarray(weight, dtype=float)
-            if weight.shape != g.shape:
-                raise ValueError("weight shape does not match field")
-            if not np.all(weight > 0):
-                raise ValueError("weight must be strictly positive")
-            g = g + np.log(weight)
+        log_weight = _log_weight(weight, g.shape, log_weight)
+        if log_weight is not None:
+            g = g + log_weight
         g = np.ascontiguousarray(g, dtype=np.float64)
         m = float(g.max())
         out = np.empty_like(g)
         s = kernels.exp_shifted_sum(g, m, out)
         return m + float(np.log(self.cell_area * s))
 
-    def normalized_exp(self, values, sign: float = 1.0, weight=None):
-        """The probability density w*e^(sign*f) / integral(w*e^(sign*f)).
+    def normalized_exp(self, values, sign: float = 1.0, weight=None, log_weight=None):
+        """The probability density w*e^(sign*f) / integral(w*e^(sign*f)),
+        with the weight given as in `log_integral_exp`.
 
         Returns (density, log_normalizer); density integrates to 1 up to
         round-off by construction.
         """
-        if sign not in (1.0, -1.0, 1, -1):
-            raise ValueError("sign must be +1 or -1")
+        _check_sign(sign)
         _require_finite(values)
-        if weight is not None:
-            weight = np.asarray(weight, dtype=float)
-            if not np.all(weight > 0):
-                raise ValueError("weight must be strictly positive")
-            g = sign * values + np.log(weight)
+        log_weight = _log_weight(weight, np.shape(values), log_weight)
+        if log_weight is not None:
+            g = sign * values + log_weight
         elif sign == 1.0 or sign == 1:
             g = values  # read-only use below; no copy needed
         else:

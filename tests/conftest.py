@@ -17,3 +17,17 @@ def grid64():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+class CheckpointLog(list):
+    """An `on_checkpoint` callback for `evolve` that keeps a clone of each
+    checkpoint state, as (step_index, state)."""
+
+    def __call__(self, step_index, state):
+        self.append((step_index, state.clone()))
+
+
+@pytest.fixture()
+def checkpoint_log():
+    """The `CheckpointLog` class: each call makes a new, empty log."""
+    return CheckpointLog

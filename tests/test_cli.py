@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -248,6 +249,87 @@ class TestRunScenarios:
                 assert (d / f"{name}.json").read_bytes() == (out / f"{name}.json").read_bytes()
         assert (second / "config.used").read_bytes() == (out / "config.used").read_bytes()
 
+    def test_streamed_csv_matches_trajectory_csv(self, tmp_path):
+        # the rows streamed during the run are the bytes write_timeseries
+        # makes from the finished trajectory
+        rc = cli.parse_config(BASE_CFG)
+        out = tmp_path / "run"
+        assert cli.run(rc, str(out)) == 0
+        grid = cli.build_grid(rc)
+        state = cli.build_initial_state(rc, grid, rc["seed"])
+        traj = cli.propagator.evolve(state, rc["T"], cli.build_stepper(rc), cli.build_coupling(rc),
+                                     cli.build_monitor(rc), snapshot_every=rc["checkpoint_every"])
+        cli.write_timeseries(str(tmp_path / "batch.csv"), traj, traj.reports[0].E)
+        assert (out / "timeseries.csv").read_bytes() == (tmp_path / "batch.csv").read_bytes()
+
+    def test_stop_reason_in_report_and_telemetry(self, tmp_path):
+        # the initial data peak at |u| = 0.103; the limit is checked after each step
+        rc = cli.parse_config(BASE_CFG + "stop.max_abs_u = 0.1\n")
+        out = tmp_path / "stopped"
+        assert cli.run(rc, str(out)) == 0
+        report = dict(line.split(": ", 1) for line in (out / "report.txt").read_text().splitlines())
+        assert report["status"] == "blow-up-alarm"
+        condition, _, rest = report["stop_reason"].partition(" = ")
+        value, _, t = rest.partition(" at t = ")
+        assert condition == "max_abs_u" and float(value) >= 0.1
+        assert t == report["final_t"]
+        (line,) = (out / "telemetry.jsonl").read_text().splitlines()
+        assert json.loads(line)["stop_reason"] == report["stop_reason"]
+
+    def test_telemetry_line_per_command(self, tmp_path):
+        rc = cli.parse_config(BASE_CFG)
+        out = tmp_path / "full"
+        assert cli.run(rc, str(out)) == 0
+        res = tmp_path / "resumed"
+        assert cli._run_resume(str(out / "checkpoint_step00000020.lwav"), str(res)) == 0
+        for d, command, steps in ((out, "run", 50), (res, "resume", 30)):
+            (line,) = (d / "telemetry.jsonl").read_text().splitlines()
+            rec = json.loads(line)
+            assert (rec["command"], rec["status"]) == (command, "completed")
+            assert rec["stop_reason"] == "none"
+            assert rec["steps"] == steps and rec["scheme"] == "symmetric"
+            assert rec["steps_per_s"] == pytest.approx(steps / rec["wall_s"])
+            assert 0.0 <= rec["checkpoint_write_s"] + rec["csv_write_s"] <= rec["wall_s"]
+            assert {"LIOUWAVE_THREADS", "python", "numpy", "scipy"} <= set(rec)
+
+    def test_killed_run_leaves_resumable_outputs(self, tmp_path, monkeypatch):
+        # a run that dies after its fourth sample (step 30) leaves the CSV
+        # rows written so far and its complete checkpoints; resuming the last
+        # one reproduces the uninterrupted rows bit for bit
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG)
+        full, killed = tmp_path / "full", tmp_path / "killed"
+        assert cli.main(["run", str(cfg), "--out", str(full)]) == 0
+        rows = (full / "timeseries.csv").read_bytes().split(b"\n")
+
+        real_evolve = cli.propagator.evolve
+
+        def dying_evolve(*args, on_sample, **kwargs):
+            seen = []
+
+            def sample_then_die(t, report):
+                on_sample(t, report)
+                seen.append(t)
+                if len(seen) == 4:
+                    raise RuntimeError("killed")
+
+            return real_evolve(*args, on_sample=sample_then_die, **kwargs)
+
+        monkeypatch.setattr(cli.propagator, "evolve", dying_evolve)
+        with pytest.raises(RuntimeError, match="killed"):
+            cli.main(["run", str(cfg), "--out", str(killed)])
+        monkeypatch.undo()
+
+        partial = (killed / "timeseries.csv").read_bytes()
+        assert partial.split(b"\n") == rows[:5] + [b""]
+        assert [len(r.split(b",")) for r in partial.split(b"\n")[:-1]] == [len(cli.CSV_COLUMNS)] * 5
+        assert sorted(p.name for p in killed.glob("checkpoint_*")) == [
+            "checkpoint_step00000020.json", "checkpoint_step00000020.lwav"]
+        resumed = tmp_path / "resumed"
+        ckpt = killed / "checkpoint_step00000020.lwav"
+        assert cli.main(["resume", str(ckpt), "--out", str(resumed)]) == 0
+        assert (resumed / "timeseries.csv").read_bytes().split(b"\n")[1:] == rows[3:]
+
     def test_picard_verify_report(self, tmp_path):
         cfg_text = (
             "scenario = picard-verify\nfamily = sinh_gordon\nrho1 = 12.566\nrho2 = 12.566\n"
@@ -300,3 +382,14 @@ class TestMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("grid.n1 = 7\n")
         assert cli.main(["run", str(cfg)]) == 1
+
+    def test_resume_refuses_checkpoint_without_metadata(self, tmp_path, capsys):
+        # a checkpoint is complete only once its .json exists
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        (out / "checkpoint_step00000020.json").unlink()
+        code = cli.main(["resume", str(out / "checkpoint_step00000020.lwav")])
+        assert code == 1
+        assert "missing checkpoint metadata" in capsys.readouterr().err

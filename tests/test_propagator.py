@@ -126,13 +126,15 @@ class TestDuhamelStep:
 
 
 class TestEvolve:
-    def test_linear_trajectory_matches_flow(self, grid64):
+    def test_linear_trajectory_matches_flow(self, grid64, checkpoint_log):
         cfg = CouplingConfig("mean_field", (0.0,))
         st = eigenmode_state(grid64)
-        traj = evolve(st, 2.0, StepperConfig(h=0.05, sample_every=4), cfg, snapshot_every=4)
+        checkpoints = checkpoint_log()
+        traj = evolve(st, 2.0, StepperConfig(h=0.05, sample_every=4), cfg, snapshot_every=4,
+                      on_checkpoint=checkpoints)
         assert traj.status == STATUS_COMPLETED
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
-        for step, snap in traj.snapshots:
+        for step, snap in checkpoints:
             ref = linear_flow(st, step * 0.05)
             assert np.abs(snap.u - ref.u).max() < 1e-12
             assert np.abs(snap.v - ref.v).max() < 1e-12
@@ -211,6 +213,8 @@ class TestEvolve:
         monitor = MonitorThresholds(grad_l2=15.0, log_int=50.0, r=0.5, eps=0.1)
         traj = evolve(st, 1.0, StepperConfig(h=1e-3), cfg, monitor=monitor)
         assert traj.status == STATUS_BLOWUP
+        assert traj.stop_reason.condition == "grad_l2"
+        assert traj.stop_reason.value == traj.reports[-1].grad_l2 >= 15.0
         assert traj.concentration
         plus = [r for r in traj.concentration if r.sign > 0]
         assert plus and plus[0].covered_fraction >= 0.9
@@ -221,7 +225,7 @@ class TestEvolve:
         cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
         st = wave_state_new(grid32, np.full((32, 32), 55.0), np.zeros((32, 32)))
         traj = evolve(st, 0.1, StepperConfig(h=1e-2), cfg, monitor=MonitorThresholds())
-        assert traj.status == STATUS_COMPLETED
+        assert traj.status == STATUS_COMPLETED and traj.stop_reason is None
         assert np.abs(traj.final_state.u - 55.0).max() < 1e-12
 
     def test_max_steps_status(self, grid32):
@@ -230,6 +234,35 @@ class TestEvolve:
         traj = evolve(st, 1.0, StepperConfig(h=1e-2, max_steps=7), cfg)
         assert traj.status == STATUS_MAXSTEPS
         assert traj.times[-1] == pytest.approx(0.07)
+        assert (traj.stop_reason.condition, traj.stop_reason.value) == ("max_steps", 7.0)
+        assert traj.stop_reason.t == traj.times[-1]
+
+    def test_stop_reason_max_abs_u(self, grid32):
+        # the hard stop on |u| names the condition, the value that tripped it
+        # and the time of the step it was read on
+        cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
+        st = acceptance_like_state(grid32, 1)
+        start = float(np.abs(st.u).max())
+        stepper = StepperConfig(h=1e-3, sample_every=1000, max_abs_u=start + 0.05)
+        traj = evolve(st, 1.0, stepper, cfg)
+        reason = traj.stop_reason
+        assert traj.status == STATUS_BLOWUP and reason.condition == "max_abs_u"
+        assert reason.value == float(np.abs(traj.final_state.u).max()) >= start + 0.05
+        assert 0.0 < reason.t == traj.times[-1] == traj.final_state.t < 1.0
+
+    def test_stop_reason_names_the_alarmed_measure(self, grid32):
+        # a monitor alarm on a log-integral names the measure; here the
+        # bubble sits in the second component of a Toda system
+        cfg = CouplingConfig("toda", (5 * np.pi, 5 * np.pi), matrix=cartan_matrix("A", 2))
+        u0 = np.stack([np.zeros((32, 32)), bubble_field(grid32, (np.pi, np.pi), 16.0)])
+        st = wave_state_new(grid32, u0, np.zeros_like(u0))
+        monitor = MonitorThresholds(grad_l2=1e9, log_int=8.0)
+        traj = evolve(st, 0.1, StepperConfig(h=1e-2), cfg, monitor=monitor)
+        reason = traj.stop_reason
+        assert traj.status == STATUS_BLOWUP
+        assert reason.condition == "log_int(e^{u_2})"
+        assert reason.value == traj.reports[-1].log_integrals[1] >= 8.0
+        assert reason.t == traj.times[-1]
 
     def test_nonfinite_status(self, grid32, monkeypatch):
         cfg = CouplingConfig("sinh_gordon", (np.pi, np.pi))
@@ -247,6 +280,7 @@ class TestEvolve:
         monkeypatch.setattr(prop, "rhs_fields", exploding)
         traj = evolve(st, 1.0, StepperConfig(h=1e-2), cfg)
         assert traj.status == STATUS_NONFINITE
+        assert traj.stop_reason.condition == "non_finite"
 
     def test_rejects_backward_target(self, grid32):
         cfg = CouplingConfig("mean_field", (0.0,))
@@ -295,7 +329,7 @@ class TestSpectralState:
 
     @pytest.mark.parametrize("scheme, per_step", [("symmetric", 2), ("frozen", 1)])
     @pytest.mark.parametrize("ncomp", [1, 2])
-    def test_transform_counts(self, grid32, monkeypatch, scheme, per_step, ncomp):
+    def test_transform_counts(self, grid32, monkeypatch, checkpoint_log, scheme, per_step, ncomp):
         import scipy.fft
 
         counts = {"rfft2": 0, "irfft2": 0}
@@ -324,9 +358,10 @@ class TestSpectralState:
         # 12 steps; samples at steps 4, 8, 12 and checkpoints at 6, 12.  The
         # samples read the carried spectra, so the physical v is made only at
         # the checkpoint steps (12 is also the final state)
+        checkpoints = checkpoint_log()
         traj = evolve(st, 12 * 1e-2, StepperConfig(h=1e-2, scheme=scheme, sample_every=4), cfg,
-                      snapshot_every=6)
-        assert traj.status == STATUS_COMPLETED and len(traj.snapshots) == 2
+                      snapshot_every=6, on_checkpoint=checkpoints)
+        assert traj.status == STATUS_COMPLETED and len(checkpoints) == 2
         initial, rederive, v_steps = 2 * ncomp, 2 * 2 * ncomp, 2
         assert counts["rfft2"] == initial + 12 * per_step * ncomp + rederive
         assert counts["irfft2"] == 12 * per_step * ncomp + v_steps * ncomp
@@ -380,21 +415,23 @@ class TestSpectralState:
         assert counts["fft"] == 0
         assert counts["lse"] == lse_per_sample * counts["samples"]
 
-    def test_checkpoint_steps_are_canonical(self, grid64):
+    def test_checkpoint_steps_are_canonical(self, grid64, checkpoint_log):
         # a run started from a checkpoint snapshot repeats the uninterrupted
         # run bit for bit when it re-derives at the same cadence, and differs
         # in round-off when it does not
         cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
         st = acceptance_like_state(grid64, 1)
         stepper = StepperConfig(h=1e-3, sample_every=10)
-        full = evolve(st, 0.1, stepper, cfg, snapshot_every=20)
-        step, snap = full.snapshots[0]
+        full_checkpoints, same_checkpoints = checkpoint_log(), checkpoint_log()
+        full = evolve(st, 0.1, stepper, cfg, snapshot_every=20, on_checkpoint=full_checkpoints)
+        step, snap = full_checkpoints[0]
         assert step == 20
-        same = evolve(snap, 0.1, stepper, cfg, snapshot_every=20, first_step_index=20, t_origin=0.0)
+        same = evolve(snap, 0.1, stepper, cfg, snapshot_every=20, first_step_index=20, t_origin=0.0,
+                      on_checkpoint=same_checkpoints)
         assert np.array_equal(same.final_state.u, full.final_state.u)
         assert np.array_equal(same.final_state.v, full.final_state.v)
-        assert [(k, s.u.tobytes()) for k, s in same.snapshots] == [
-            (k, s.u.tobytes()) for k, s in full.snapshots[1:]
+        assert [(k, s.u.tobytes()) for k, s in same_checkpoints] == [
+            (k, s.u.tobytes()) for k, s in full_checkpoints[1:]
         ]
         carried = evolve(snap, 0.1, stepper, cfg, first_step_index=20, t_origin=0.0)
         assert not np.array_equal(carried.final_state.u, full.final_state.u)

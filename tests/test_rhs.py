@@ -10,9 +10,12 @@ from liouwave import (
     DynamicRangeError,
     cartan_matrix,
     coupling_matrix_from_entries,
+    evaluate_report,
     random_smooth_field,
+    rhs_fields,
     rhs_scalar,
     rhs_toda,
+    wave_state_new,
 )
 
 
@@ -177,6 +180,36 @@ class TestScalarRhs:
         direct = 2.0 * (d1 - 1 / grid64.area) - 3.0 * (d2 - 1 / grid64.area)
         direct -= direct.mean()
         assert np.abs(out - direct).max() < 1e-14
+
+
+class TestWeightLogs:
+    @pytest.mark.parametrize("family", ["sinh_gordon", "toda"])
+    def test_weighted_calls_take_no_grid_log(self, grid32, rng, monkeypatch, family):
+        # the weights' logs are taken once, by CouplingConfig; the rhs and the
+        # report add them without another log or positivity check per call
+        x1, x2 = grid32.mesh()
+        w = (
+            (1.0 + 0.5 * np.cos(x1)) * np.ones((32, 32)),
+            (1.0 + 0.3 * np.sin(x2)) * np.ones((32, 32)),
+        )
+        if family == "toda":
+            cfg = CouplingConfig("toda", (3.0, 3.0), matrix=cartan_matrix("A", 2), weights=w)
+        else:
+            cfg = CouplingConfig("sinh_gordon", (2.0, 3.0), weights=w)
+        u = np.stack([random_smooth_field(grid32, rng, 3, 1.0) for _ in range(cfg.ncomp)])
+        state = wave_state_new(grid32, u, np.zeros_like(u))
+        grid_logs = []
+        real_log = np.log
+
+        def counting_log(x, *args, **kwargs):
+            if np.size(x) > 1:
+                grid_logs.append(np.shape(x))
+            return real_log(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log", counting_log)
+        rhs_fields(grid32, u, cfg)
+        evaluate_report(state, cfg)
+        assert grid_logs == []
 
 
 class TestTodaRhs:
