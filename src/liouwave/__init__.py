@@ -19,7 +19,6 @@ from .fields import (
     StopReason,
     Trajectory,
     WaveState,
-    dealias,
     random_smooth_field,
     wave_state_new,
 )
@@ -36,8 +35,6 @@ from .oracle import dense_evolve, direct_ball_mass
 from .picard import PicardReport, picard_radius, picard_solve, picard_time
 from .propagator import (
     StepperConfig,
-    apply_cos,
-    apply_sinc,
     duhamel_step,
     evolve,
     linear_flow,

@@ -81,17 +81,21 @@ def density(grid: SpectralGrid, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
     return dens
 
 
-def _ball_kernel(grid: SpectralGrid, r: float) -> np.ndarray:
-    return (grid.torus_distance((0.0, 0.0)) <= r).astype(float)
-
-
-def ball_mass_map(grid: SpectralGrid, dens: np.ndarray, r: float) -> np.ndarray:
-    """integral of `dens` over the metric ball B(x, r), for every center x,
-    via circular convolution with the discretized ball indicator."""
+def _ball_kernel_half(grid: SpectralGrid, r: float) -> np.ndarray:
+    """Half spectrum of the discretized indicator of the ball B(0, r)."""
     if not r < min(grid.L1, grid.L2) / 2:
         raise ValueError("ball radius must be below half the shortest period")
-    kern = _ball_kernel(grid, r)
-    conv = grid.to_physical(grid.to_spectral(dens) * grid.to_spectral(kern))
+    return grid.to_spectral_half((grid.torus_distance((0.0, 0.0)) <= r).astype(float))
+
+
+def ball_mass_map(grid: SpectralGrid, dens: np.ndarray, r: float, kernel_half=None) -> np.ndarray:
+    """integral of `dens` over the metric ball B(x, r), for every center x,
+    via circular convolution with the discretized ball indicator on half
+    (rfft) spectra.  `kernel_half`, the indicator's half spectrum for this
+    r, is transformed here when not given."""
+    if kernel_half is None:
+        kernel_half = _ball_kernel_half(grid, r)
+    conv = grid.to_physical_half(grid.to_spectral_half(dens) * kernel_half)
     out = conv * grid.cell_area
     np.maximum(out, 0.0, out=out)
     return out
@@ -108,7 +112,10 @@ def detect_concentration(
     centers within distance max(delta, 2r), which keeps the accepted points
     pairwise separated and their balls disjoint.  The covered fraction is
     the mass of the *original* density over the union of accepted balls.
+    The ball indicator is transformed once per call, and each pass makes
+    one rfft and one irfft.
     """
+    kernel_half = _ball_kernel_half(grid, query.r)
     work = np.array(dens, dtype=float)
     allowed = np.ones_like(work, dtype=bool)
     exclusion = max(query.delta, 2.0 * query.r)
@@ -116,7 +123,7 @@ def detect_concentration(
     fractions = []
     union = np.zeros_like(work, dtype=bool)
     for _ in range(query.m):
-        masses = np.where(allowed, ball_mass_map(grid, work, query.r), -np.inf)
+        masses = np.where(allowed, ball_mass_map(grid, work, query.r, kernel_half), -np.inf)
         flat = int(np.argmax(masses))
         i1, i2 = divmod(flat, grid.n2)
         center = (grid.x1[i1], grid.x2[i2])

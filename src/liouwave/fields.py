@@ -107,11 +107,6 @@ def wave_state_new(grid: SpectralGrid, u0, u1, t0: float = 0.0) -> WaveState:
     return WaveState(grid, float(t0), u, v, tuple(shifts))
 
 
-def dealias(grid: SpectralGrid, modes: np.ndarray) -> np.ndarray:
-    """Zero all modes outside the grid's two-thirds mask; idempotent."""
-    return grid.dealias(modes)
-
-
 def random_smooth_field(
     grid: SpectralGrid,
     rng: np.random.Generator,

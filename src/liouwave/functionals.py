@@ -11,14 +11,17 @@ identity at every slice.
 
 Everything is computed in one pass over the half (rfft) spectra of the
 state.  Means are the zero modes; H1 seminorms and the Dirichlet and kinetic
-forms come from one Parseval Gram matrix per field (`_gram`, with the grid's
-Hermitian column weights), contracted with the energy form (Q = 1 for the
-scalar families).  `equation_measures` is the one list of the equation's
-measures w e^{sign*scale*u_c}; each gets one centred log-sum-exp per slice,
-which J, the report's columns, the residual and the blow-up monitor share.
-`evolve` hands the report the half spectra it carries, so a sample makes no
-transform; without them the report takes one rfft per component of u and v
-and runs the same code.
+forms come from one Parseval Gram matrix per field (`_gram`: one BLAS
+product with the grid's Hermitian column weights), contracted with the
+energy form (Q = 1 for the scalar families).  `equation_measures` is the one
+list of the equation's measures w e^{sign*scale*u_c}; each has one centred
+log-integral per slice, which J, the report's columns, the residual and the
+blow-up monitor share.  `evolve` hands the report the half spectra it
+carries and the log-normalizers of the forcing it evaluated on the same u,
+so a sample makes no transform, and no log-sum-exp for a measure the
+forcing exponentiated; without them the report takes one rfft per
+component of u and v and one log-sum-exp per measure, and runs the same
+code.
 """
 
 from __future__ import annotations
@@ -107,18 +110,14 @@ def _stacked(u: np.ndarray) -> np.ndarray:
 
 def _gram(grid: SpectralGrid, modes: np.ndarray, gradient: bool) -> np.ndarray:
     """G_ij = <f_i, f_j> in L2, or <grad f_i, grad f_j> with `gradient`, of the
-    stacked fields whose half spectra are `modes`, by Parseval."""
-    w = grid.half_column_weights
-    if gradient:
-        w = grid.lap_symbol[:, : w.size] * w
-    norm = grid.area / (grid.n1 * grid.n2) ** 2
+    stacked fields whose half spectra are `modes`, by Parseval: one BLAS
+    product of the real view of the spectra with its column-weighted copy."""
+    w = grid.gram_gradient_weights if gradient else grid.gram_weights
     n = modes.shape[0]
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            prod = modes[i].real * modes[j].real + modes[i].imag * modes[j].imag
-            out[i, j] = out[j, i] = norm * float((w * prod).sum())
-    return out
+    x = np.ascontiguousarray(modes).view(np.float64).reshape(n, grid.n1, -1)
+    gram = (x * w).reshape(n, -1) @ x.reshape(n, -1).T
+    gram += gram.T  # symmetric to the bit
+    return (0.5 * grid.area / (grid.n1 * grid.n2) ** 2) * gram
 
 
 def _form(gram: np.ndarray, q: np.ndarray) -> float:
@@ -131,12 +130,16 @@ def _means(grid: SpectralGrid, modes: np.ndarray) -> tuple:
     return tuple(float(modes[i, 0, 0].real) / (grid.n1 * grid.n2) for i in range(modes.shape[0]))
 
 
-def _centered_log_integral(grid, u, mean, sign, log_weight=None, scale=1.0) -> float:
-    """log int w e^{sign*scale*(u - mean)}, w = e^{log_weight}."""
-    centered = u - mean
-    if scale != 1.0:
-        centered *= scale
-    return grid.log_integral_exp(centered, sign, log_weight=log_weight)
+def _centered_log_integral(grid, u, mean, sign, log_weight=None, scale=1.0,
+                           log_normalizer=None) -> float:
+    """log int w e^{sign*scale*(u - mean)} = log Z - sign*scale*mean, with
+    log Z = log int w e^{sign*scale*u} (w = e^{log_weight}) the measure's
+    log-normalizer: `log_normalizer` when the rhs took it on this u, else
+    one log-sum-exp with the rhs's arithmetic."""
+    if log_normalizer is None:
+        log_normalizer = grid.log_integral_exp(u if scale == 1.0 else scale * u, sign,
+                                               log_weight=log_weight)
+    return float(log_normalizer - sign * scale * mean)
 
 
 def _functional(cfg: CouplingConfig, dirichlet: float, logs) -> float:
@@ -236,12 +239,18 @@ def mt_residual(grid: SpectralGrid, u: np.ndarray, flavor: str = "standard", **p
     return _residual(flavor, _form(_gram(grid, uh, True), q), plain, uu.shape[0], params)
 
 
-def evaluate_report(state: WaveState, cfg: CouplingConfig, spectra=None) -> FunctionalReport:
+def evaluate_report(state: WaveState, cfg: CouplingConfig, spectra=None,
+                    log_normalizers=None) -> FunctionalReport:
     """Full per-slice diagnostics used by trajectory sampling.
 
     `spectra` = (uh, vh) are the stacked half spectra of state.u and
     state.v; `evolve` passes the ones it carries, and then state.v is not
     read.  Without them the report transforms state.u and state.v.
+    `log_normalizers` are those of `rhs_fields(..., return_log_normalizers=
+    True)` on state.u, which `evolve` carries with the forcing: a measure
+    with one has the centred log-integral log Z - sign*scale*ubar and takes
+    no log-sum-exp.  Without one the report takes the same log Z by one
+    log-sum-exp, so the two give the same bits.
 
     Each equation measure's centred log-integral is taken once and kept in
     `log_integrals`.  For the scalar families log_plus is log int h1
@@ -251,6 +260,9 @@ def evaluate_report(state: WaveState, cfg: CouplingConfig, spectra=None) -> Func
     unweighted log int e^{-(u_j - ubar_j)}.  The residual is that of
     `mt_residual` for the family (standard, sinh or toda), with unweighted
     a = 1 integrals; a measure's value is reused where it is that integral.
+    So a log-sum-exp is made only for a column that is not an equation
+    measure with a log-normalizer: Toda's log_minus, measures with rho = 0,
+    and the residual's unweighted integrals on weighted or a != 1 runs.
     """
     g = state.grid
     if spectra is None:
@@ -264,10 +276,12 @@ def evaluate_report(state: WaveState, cfg: CouplingConfig, spectra=None) -> Func
     kinetic = _form(_gram(g, vh, False), q)
 
     measures = equation_measures(cfg)
+    if log_normalizers is None:
+        log_normalizers = (None,) * len(measures)
     logs = tuple(
         _centered_log_integral(g, state.u[m.component], means[m.component], m.sign, m.log_weight,
-                               m.scale)
-        for m in measures
+                               m.scale, logz)
+        for m, logz in zip(measures, log_normalizers)
     )
 
     def plain(sign, i):

@@ -79,12 +79,10 @@ def _propagate(u0h, v0h, tables, m, forcing) -> _Path:
     uh = np.empty((m + 1,) + u0h.shape, dtype=np.complex128)
     vh = np.empty_like(uh)
     uh[0], vh[0] = u0h, v0h
+    tmp = np.empty_like(u0h)
     for j in range(m):
-        fh = forcing(j)
-        for i in range(u0h.shape[0]):
-            kernels.gautschi_combine(
-                *tables.factors, uh[j, i], vh[j, i], fh[i], uh[j + 1, i], vh[j + 1, i]
-            )
+        kernels.gautschi_combine(*tables.factors, uh[j], vh[j], forcing(j), uh[j + 1], vh[j + 1],
+                                 tmp=tmp)
     return _Path(uh, vh)
 
 
@@ -125,7 +123,7 @@ def picard_solve(
     g = state.grid
     m = max(1, int(round(T / h)))
     tables = StepTables(g, h)
-    mask = g.dealias_mask if dealias else None
+    mask = g.dealias_half_mask if dealias else None
     u0h, v0h = _initial_spectra(state)
 
     path = _free_path(u0h, v0h, tables, m)
@@ -169,7 +167,7 @@ def first_contraction_ratio(state, cfg, T, steps=32, dealias=True) -> float:
     g = state.grid
     h = T / steps
     tables = StepTables(g, h)
-    mask = g.dealias_mask if dealias else None
+    mask = g.dealias_half_mask if dealias else None
     u0h, v0h = _initial_spectra(state)
     p0 = _free_path(u0h, v0h, tables, steps)
     p1 = _apply_solution_map(g, cfg, p0, u0h, v0h, tables, mask)

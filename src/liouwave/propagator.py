@@ -11,27 +11,34 @@ obey exactly ubar+ = ubar + h*vbar with vbar constant.
 
 One per-mode update serves every caller: `_mode_factors` builds the
 per-mode factors, `StepTables` keeps their half-spectrum (rfft) columns, and
-`kernels.gautschi_combine` applies the update to one component's half
-spectra.  The step and the Picard solution map both run through it.
+`kernels.gautschi_combine` applies the update to the stacked half spectra
+of all components in one call.  The step and the Picard solution map both
+run through it.
 
 The state is carried in mode space.  `_step`, the one stepping primitive,
-maps the half spectra (uh, vh) plus the physical u that the forcing needs to
-the next such triple, so a symmetric step costs 2 forward + 2 inverse
-transforms per component (the frozen step 1 + 1).  Samples read what
-`evolve` carries: the report and the monitor get the half spectra and the
-physical u, so a sample makes no transform.  The physical v is made, by one
-inverse transform per component, only at checkpoint steps and for the
-final state.  `_step_arrays` (physical in and out)
-is `_step` between forward transforms of u and v and an inverse transform
-of the new v; `duhamel_step` calls it, and so does `linear_flow`, as one
-frozen step with zero forcing.
+maps the half spectra (uh, vh) plus the half spectra fh of the forcing at
+the physical u to the new (uh, vh) and the new physical u, writing into
+preallocated buffers (`_StepBuffers`).  `evolve` then evaluates the forcing
+at the new u, after the step's finiteness checks, and carries it into the
+next step; that is the same arithmetic as evaluating it at the start of the
+next step.  Every transform is one batched scipy call over the components,
+so a symmetric step costs 2 rfft + 2 irfft calls whatever the component
+count (the frozen step 1 + 1), plus the one forcing at the initial state.
+Samples read what `evolve` carries: the report and the monitor get the half
+spectra, the physical u and the log-normalizers of the carried forcing, so
+a sample makes no transform and no log-sum-exp for a measure the forcing
+exponentiated.  The physical v is made, by one irfft call, only at
+checkpoint steps and for the final state.  `_step_arrays` (physical in and
+out) is `_step` between forward transforms of u and v plus the forcing at u,
+and an inverse transform of the new v; `duhamel_step` calls it, and so does
+`linear_flow`, as one frozen step with zero forcing.
 
 Checkpoint steps are canonical: at every step whose global index is a
 multiple of `snapshot_every`, `evolve` hands the physical state to
 `on_checkpoint` and then replaces the carried spectra by the transforms of
-that u and v, and the step's sample reads those, so a run resumed from that
-state (with the same checkpoint cadence) repeats the uninterrupted run bit
-for bit.  `evolve` keeps no checkpoint itself: the callback gets the live
+that u and v, and the step's sample reads those; the carried forcing is a
+function of u alone.  So a run resumed from that state (with the same
+checkpoint cadence) repeats the uninterrupted run bit for bit.  `evolve` keeps no checkpoint itself: the callback gets the live
 state, which a caller that keeps it clones, so a run's memory does not grow
 with its number of checkpoints.  Samples leave the same way, through
 `on_sample`, as they are taken.
@@ -113,54 +120,61 @@ class StepTables:
         self.factors = tuple(np.ascontiguousarray(f[:, :ncol]) for f in _mode_factors(grid, self.h))
 
 
-def apply_cos(grid: SpectralGrid, t: float, modes: np.ndarray) -> np.ndarray:
-    """Multiply each mode by cos(t w)."""
-    return modes * _mode_factors(grid, t)[0]
-
-
-def apply_sinc(grid: SpectralGrid, t: float, modes: np.ndarray) -> np.ndarray:
-    """Multiply each mode by sin(t w)/w, with the zero mode scaled by t."""
-    return modes * _mode_factors(grid, t)[1]
-
-
 def _forcing_half(grid, f, mask):
-    """Half spectra of the stacked forcing fields f, dealiased by `mask` (full
-    layout, or None) and with the zero mode removed, which makes the
-    component averages evolve exactly as ubar + t*vbar."""
+    """Half spectra of the stacked forcing fields f, dealiased by `mask` (the
+    half-spectrum columns of a mask, e.g. `grid.dealias_half_mask`, or
+    None) and with the zero mode removed, which makes the component averages
+    evolve exactly as ubar + t*vbar."""
     fh = grid.to_spectral_half_stack(f)
     if mask is not None:
-        fh *= mask[:, : grid.n2 // 2 + 1]
+        fh *= mask
     fh[:, 0, 0] = 0.0
     return fh
 
 
-def _step(grid, uh, vh, u, tables, rhs_eval, scheme, mask):
-    """One step of the state carried in mode space: the half spectra (uh, vh)
-    of the stacked components and u, the physical image of uh that the
-    forcing is evaluated on.  Returns the new (uh, vh, u).
+class _StepBuffers:
+    """Preallocated half spectra of a run of steps: the pair (uh, vh) the next
+    step writes and the symmetric predictor's position, which is also the
+    scratch of the step's last combine."""
 
-    Each forcing evaluation costs one rfft per component and each new
-    physical u one irfft per component: 2 + 2 per component for the
-    symmetric scheme, 1 + 1 for the frozen one."""
-    fh = _forcing_half(grid, rhs_eval(u), mask)
-    uh_new = np.empty_like(uh)
-    vh_new = np.empty_like(vh)
+    def __init__(self, uh):
+        self.uh, self.vh, self.pred = (np.empty_like(uh) for _ in range(3))
+
+
+def _step(grid, uh, vh, fh, tables, rhs_eval, scheme, mask, buffers):
+    """One step of the state carried in mode space: the half spectra (uh, vh)
+    of the stacked components and fh, the masked half spectra of the
+    forcing at u (`_forcing_half`).  Returns the new (uh, vh, u) with u the
+    physical image of the new uh, on which the caller evaluates the next
+    forcing.  The new spectra are written into `buffers`, which then keep
+    the (uh, vh) read here for the next step to overwrite: the caller must
+    hold no other reference to them.
+
+    One combine call updates every component.  The symmetric step takes a
+    frozen predictor for the position, evaluates the forcing there (one
+    rfft, after one irfft) and steps with the average of the two forcings;
+    with the forcing at the new u, evaluated by the caller, that is 2 + 2
+    batched transforms per step, 1 + 1 for the frozen one."""
     if scheme == "symmetric":
-        # frozen predictor for the position only, then the step with the
-        # averaged forcing
-        for i in range(u.shape[0]):
-            kernels.gautschi_combine(*tables.factors, uh[i], vh[i], fh[i], uh_new[i])
-        f1h = _forcing_half(grid, rhs_eval(grid.to_physical_half_stack(uh_new)), mask)
-        fh = 0.5 * (fh + f1h)
-    for i in range(u.shape[0]):
-        kernels.gautschi_combine(*tables.factors, uh[i], vh[i], fh[i], uh_new[i], vh_new[i])
+        # the velocity buffer is free until the last combine: its scratch here
+        kernels.gautschi_combine(*tables.factors, uh, vh, fh, buffers.pred, tmp=buffers.vh)
+        f1h = _forcing_half(grid, rhs_eval(grid.to_physical_half_stack(buffers.pred)), mask)
+        f1h += fh
+        f1h *= 0.5
+        fh = f1h
+    uh_new, vh_new = buffers.uh, buffers.vh
+    kernels.gautschi_combine(*tables.factors, uh, vh, fh, uh_new, vh_new, tmp=buffers.pred)
+    buffers.uh, buffers.vh = uh, vh
     return uh_new, vh_new, grid.to_physical_half_stack(uh_new)
 
 
 def _step_arrays(grid, u, v, tables, rhs_eval, scheme, mask):
-    """One step on stacked physical arrays; returns new (u, v)."""
+    """One step on stacked physical arrays; returns new (u, v).  `mask` is a
+    dealias mask on the full layout (or None)."""
+    mask = None if mask is None else mask[:, : grid.n2 // 2 + 1]
     uh, vh = grid.to_spectral_half_stack(u), grid.to_spectral_half_stack(v)
-    _, vh, u_new = _step(grid, uh, vh, u, tables, rhs_eval, scheme, mask)
+    fh = _forcing_half(grid, rhs_eval(u), mask)
+    _, vh, u_new = _step(grid, uh, vh, fh, tables, rhs_eval, scheme, mask, _StepBuffers(uh))
     return u_new, grid.to_physical_half_stack(vh)
 
 
@@ -212,7 +226,7 @@ def evolve(
     if T < state.t:
         raise ValueError("target time precedes the state's time")
     tables = StepTables(g, stepper.h)
-    mask = g.dealias_mask if stepper.dealias else None
+    mask = g.dealias_half_mask if stepper.dealias else None
     rhs_eval = lambda u: rhs_fields(g, u, cfg)
     t0 = state.t if t_origin is None else float(t_origin)
     n_steps = int(round((T - state.t) / stepper.h))
@@ -220,9 +234,18 @@ def evolve(
     if capped:
         n_steps = stepper.max_steps
 
+    def forcing(u):
+        """The forcing at u, carried into the next step: its masked half
+        spectra and its measures' log-normalizers, which the sample of u
+        reads.  It depends on the physical u only."""
+        f, logz = rhs_fields(g, u, cfg, return_log_normalizers=True)
+        return _forcing_half(g, f, mask), logz
+
     traj = Trajectory()
     u, v = state.u.copy(), state.v.copy()
     uh, vh = g.to_spectral_half_stack(u), g.to_spectral_half_stack(v)
+    fh, logz = forcing(u)
+    buffers = _StepBuffers(uh)
     t = state.t
 
     def current_state():
@@ -238,10 +261,11 @@ def evolve(
     def sample() -> bool:
         """Record a report; returns True, with the stop reason set, when the
         monitor raises the alarm or the gradient norm reaches its hard
-        limit.  Report and monitor read the carried spectra and the physical
-        u, so a sample makes no transform (state.v may be stale, None)."""
+        limit.  Report and monitor read the carried spectra, the physical u
+        and the carried forcing's log-normalizers, so a sample makes no
+        transform (state.v may be stale, None)."""
         state_t = WaveState(g, t, u, v)
-        report = evaluate_report(state_t, cfg, spectra=(uh, vh))
+        report = evaluate_report(state_t, cfg, spectra=(uh, vh), log_normalizers=logz)
         traj.times.append(t)
         traj.reports.append(report)
         if on_sample is not None:
@@ -265,7 +289,7 @@ def evolve(
     status = STATUS_COMPLETED
     for k in range(1, n_steps + 1):
         try:
-            uh, vh, u = _step(g, uh, vh, u, tables, rhs_eval, stepper.scheme, mask)
+            uh, vh, u = _step(g, uh, vh, fh, tables, rhs_eval, stepper.scheme, mask, buffers)
         except DynamicRangeError:
             status = STATUS_NONFINITE
             stop("non_finite", np.nan)
@@ -273,8 +297,14 @@ def evolve(
         v = None
         gk = first_step_index + k
         t = t0 + gk * stepper.h
-        max_u = float(np.abs(u).max())
-        if not (np.isfinite(max_u) and np.isfinite(vh).all()):
+        max_u = max(float(u.max()), -float(u.min()))  # max|u|; NaN when u has one
+        finite = bool(np.isfinite(max_u) and np.isfinite(vh.view(np.float64)).all())
+        if finite:
+            try:
+                fh, logz = forcing(u)
+            except DynamicRangeError:
+                finite = False
+        if not finite:
             status = STATUS_NONFINITE
             stop("non_finite", max_u)
             break
@@ -282,7 +312,8 @@ def evolve(
             checkpoint = current_state()
             if on_checkpoint is not None:
                 on_checkpoint(gk, checkpoint)
-            # canonical step: a resume from this state starts from these spectra
+            # canonical step: a resume from this state starts from these
+            # spectra (the carried forcing is a function of u alone)
             uh, vh = g.to_spectral_half_stack(u), g.to_spectral_half_stack(v)
         hard_stop = max_u >= stepper.max_abs_u
         if gk % stepper.sample_every == 0 or k == n_steps or hard_stop:

@@ -4,6 +4,13 @@ All families share the structure "coupling * (normalized exponential measure
 minus the uniform density)", which integrates to zero; outputs get their
 discrete mean subtracted so the zero-mean structure holds to round-off and
 the component averages are conserved exactly by the propagator.
+
+Each measure takes one exponential pass (`SpectralGrid.normalized_exp`),
+whose max is also the finiteness check: a NaN or +inf exponent raises
+`DynamicRangeError`.  The pass also yields the measure's log-normalizer,
+which `rhs_fields` hands back on request, so a sample of the same state
+reads its log-integrals without exponentiating again.  Toda components are
+combined by one coupling-matrix product.
 """
 
 from __future__ import annotations
@@ -219,14 +226,59 @@ class CouplingConfig:
         return self.rho[0], self.rho[1]
 
 
-def _measure_density(grid, expo, log_weight):
-    """Normalized density of w * e^{expo} (w = e^{log_weight}) via
-    log-sum-exp; rejects states whose exponent is out of range."""
+def _measure_density(grid, values, sign, log_weight):
+    """Normalized density of w * e^{sign*values} (w = e^{log_weight}) and its
+    log-normalizer log int w e^{sign*values}, from one exponential pass;
+    rejects states whose exponent is out of range."""
     try:
-        dens, _ = grid.normalized_exp(expo, 1.0, log_weight=log_weight)
+        return grid.normalized_exp(values, sign, log_weight=log_weight)
     except ValueError as exc:
         raise DynamicRangeError("state out of dynamic range") from exc
-    return dens
+
+
+def _rhs_scalar(grid, u, cfg):
+    """(forcing, log-normalizers of the two measures, None where rho = 0)."""
+    if cfg.family == "toda":
+        raise ValueError("use rhs_toda for toda configurations")
+    rho1, rho2 = cfg.rho_pair()
+    logz = [None, None]
+    out = None
+    # the -1/|M| offsets are constants, so they drop out under the final
+    # mean subtraction
+    if rho1 != 0.0:
+        out, logz[0] = _measure_density(grid, u, 1, cfg.log_weight(0))
+        out *= rho1
+    if rho2 != 0.0:
+        dens, logz[1] = _measure_density(grid, u if cfg.a == 1.0 else cfg.a * u, -1,
+                                         cfg.log_weight(1))
+        dens *= -rho2
+        if out is None:
+            out = dens
+        else:
+            out += dens
+    if out is None:
+        return np.zeros_like(u), logz
+    out -= out.mean()
+    return out, logz
+
+
+def _rhs_toda(grid, u, cfg):
+    """(forcing, log-normalizer of each component's measure)."""
+    if cfg.family != "toda":
+        raise ValueError("rhs_toda requires a toda configuration")
+    n = cfg.matrix.n
+    if u.shape[0] != n:
+        raise ValueError(f"expected {n} components, got {u.shape[0]}")
+    dens = np.empty((n, u[0].size))
+    logz = [None] * n
+    for j in range(n):
+        d, logz[j] = _measure_density(grid, u[j], 1, cfg.log_weight(j))
+        dens[j] = d.ravel()
+    # the -1/|M| offsets drop out under the mean subtraction, as above
+    coeff = cfg.matrix.entries * np.asarray(cfg.rho)[None, :]
+    out = coeff @ dens
+    out -= out.mean(axis=1, keepdims=True)
+    return out.reshape(u.shape), logz
 
 
 def rhs_scalar(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
@@ -236,45 +288,29 @@ def rhs_scalar(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.nda
 
     The output mean is subtracted, so the result integrates to zero exactly.
     """
-    if cfg.family == "toda":
-        raise ValueError("use rhs_toda for toda configurations")
-    rho1, rho2 = cfg.rho_pair()
-    # the -1/|M| offsets are constants, so they drop out under the final
-    # mean subtraction
-    if rho1 != 0.0:
-        out = _measure_density(grid, u, cfg.log_weight(0))
-        out *= rho1
-        if rho2 != 0.0:
-            out -= rho2 * _measure_density(grid, -cfg.a * u, cfg.log_weight(1))
-    elif rho2 != 0.0:
-        out = _measure_density(grid, -cfg.a * u, cfg.log_weight(1))
-        out *= -rho2
-    else:
-        return np.zeros_like(u)
-    out -= out.mean()
-    return out
+    return _rhs_scalar(grid, u, cfg)[0]
 
 
 def rhs_toda(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
     """Forcing of the coupled system: component i gets
     sum_j a_ij rho_j (e^{u_j} / int(e^{u_j}) - 1/|M|), mean-subtracted."""
-    if cfg.family != "toda":
-        raise ValueError("rhs_toda requires a toda configuration")
-    n = cfg.matrix.n
-    if u.shape[0] != n:
-        raise ValueError(f"expected {n} components, got {u.shape[0]}")
-    inv_area = 1.0 / grid.area
-    g = np.empty_like(u)
-    for j in range(n):
-        g[j] = _measure_density(grid, u[j], cfg.log_weight(j)) - inv_area
-    coeff = cfg.matrix.entries * np.asarray(cfg.rho)[None, :]
-    out = np.einsum("ij,jxy->ixy", coeff, g)
-    out -= out.mean(axis=(1, 2), keepdims=True)
-    return out
+    return _rhs_toda(grid, u, cfg)[0]
 
 
-def rhs_fields(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
-    """Family dispatch on stacked (ncomp, n1, n2) input."""
+def rhs_fields(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig,
+               return_log_normalizers: bool = False):
+    """Family dispatch on stacked (ncomp, n1, n2) input.
+
+    With `return_log_normalizers`, returns (forcing, logz): logz[i] is the
+    log-normalizer log int w e^{sign*scale*u_c} of measure i of
+    `functionals.equation_measures(cfg)`, which the forcing divided by, or
+    None for a measure with rho = 0, which the forcing does not evaluate.
+    The report reads a measure's centred log-integral off it as
+    logz[i] - sign*scale*ubar_c.
+    """
     if cfg.family == "toda":
-        return rhs_toda(grid, u, cfg)
-    return rhs_scalar(grid, u[0], cfg)[None, :, :]
+        out, logz = _rhs_toda(grid, u, cfg)
+    else:
+        out, logz = _rhs_scalar(grid, u[0], cfg)
+        out = out[None, :, :]
+    return (out, tuple(logz)) if return_log_normalizers else out

@@ -6,10 +6,18 @@ row-major.  All calculus here is either spectral or equal-weight trapezoidal,
 both exact for band-limited data on this geometry, and every integral of an
 exponential goes through a log-sum-exp path so that fields with values up to
 ~700 in magnitude never overflow.
+
+The stepping and sampling path uses the half (rfft) spectra of stacked
+components, each stack in one batched scipy call.  `normalized_exp` and
+`log_integral_exp` share one exponential pass (one max, which is also the
+finiteness check, one exp, one sum); the full complex pair
+`to_spectral`/`to_physical` remains for the norms, `minus_laplacian` and
+seeded data.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -55,10 +63,12 @@ class SpectralGrid:
     """Uniform n1 x n2 sampling of the flat torus with periods (L1, L2).
 
     Carries the per-mode Laplacian symbol lam(k1,k2) = (2*pi*k1/L1)^2 +
-    (2*pi*k2/L2)^2 in FFT ordering, the two-thirds dealias mask, the
-    quadrature weight area/(n1*n2), and the Parseval column weights of the
-    half (rfft) spectrum.  All methods are pure; a grid is safe to share
-    between threads.
+    (2*pi*k2/L2)^2 in FFT ordering, the two-thirds dealias mask (and its
+    half-spectrum columns as floats, the stepper's forcing mask), the
+    quadrature weight area/(n1*n2), and the Parseval weights of the half
+    (rfft) spectrum, per column and, for Gram products, per float of its
+    float view, plain and times the symbol.  All methods are pure; a
+    grid is safe to share between threads.
     """
 
     def __init__(self, n1: int, n2: int, L1: float = TWO_PI, L2: float = TWO_PI):
@@ -81,11 +91,18 @@ class SpectralGrid:
         self.dealias_mask = (np.abs(self.k1[:, None]) <= n1 // 3) & (
             np.abs(self.k2[None, :]) <= n2 // 3
         )
+        ncol = n2 // 2 + 1
+        self.dealias_half_mask = self.dealias_mask[:, :ncol].astype(float)
 
         # Parseval on the half spectrum: columns k2 = 0 and k2 = n2/2 are
         # their own Hermitian mirror and count once, every other column twice
-        self.half_column_weights = np.full(n2 // 2 + 1, 2.0)
+        self.half_column_weights = np.full(ncol, 2.0)
         self.half_column_weights[0] = self.half_column_weights[-1] = 1.0
+        # the same for the float view of a half spectrum (real and imaginary
+        # parts side by side), plain and times the symbol: the weights of
+        # L2 and gradient inner products by one product
+        self.gram_weights = np.repeat(self.half_column_weights, 2)
+        self.gram_gradient_weights = np.repeat(self.lap_symbol[:, :ncol], 2, axis=1) * self.gram_weights
 
         self.x1 = np.arange(n1) * (self.L1 / n1)
         self.x2 = np.arange(n2) * (self.L2 / n2)
@@ -111,24 +128,15 @@ class SpectralGrid:
         return scipy.fft.irfft2(modes, s=(self.n1, self.n2), workers=_workers())
 
     def to_spectral_half_stack(self, fields: np.ndarray) -> np.ndarray:
-        """Half spectra of stacked real fields (ncomp, n1, n2), one rfft per
-        component."""
-        out = np.empty((fields.shape[0], self.n1, self.n2 // 2 + 1), dtype=np.complex128)
-        for i in range(fields.shape[0]):
-            out[i] = self.to_spectral_half(fields[i])
-        return out
+        """Half spectra of stacked real fields (ncomp, n1, n2), in one batched
+        rfft over the last two axes (the same bits as one call per
+        component)."""
+        return scipy.fft.rfft2(fields, axes=(-2, -1), workers=_workers())
 
     def to_physical_half_stack(self, modes: np.ndarray) -> np.ndarray:
-        """Stacked real fields of stacked half spectra, one irfft per
-        component."""
-        out = np.empty((modes.shape[0], self.n1, self.n2))
-        for i in range(modes.shape[0]):
-            out[i] = self.to_physical_half(modes[i])
-        return out
-
-    def dealias(self, modes: np.ndarray) -> np.ndarray:
-        """Zero every mode outside the two-thirds band; idempotent."""
-        return modes * self.dealias_mask
+        """Stacked real fields of stacked half spectra, in one batched
+        irfft."""
+        return scipy.fft.irfft2(modes, s=(self.n1, self.n2), axes=(-2, -1), workers=_workers())
 
     # -- quadrature and norms ------------------------------------------------
 
@@ -158,45 +166,43 @@ class SpectralGrid:
 
     # -- stable exponentials --------------------------------------------------
 
+    def _exp_pass(self, values, sign, weight, log_weight):
+        """(e^(g - m), m, sum of e^(g - m)) for g = sign*f + log w and m = max g,
+        in one fresh array: one max, one exp pass, one sum.  The max is also
+        the finiteness check: a NaN or +inf in g makes it non-finite."""
+        _check_sign(sign)
+        values = np.asarray(values, dtype=np.float64)
+        log_weight = _log_weight(weight, values.shape, log_weight)
+        out = np.empty(values.shape)
+        g = values if sign > 0 else np.negative(values, out=out)
+        if log_weight is not None:
+            g = np.add(g, log_weight, out=out)
+        m = float(g.max())
+        if not math.isfinite(m):
+            raise ValueError("exponent contains non-finite values")
+        return out, m, kernels.exp_shifted_sum(g, m, out)
+
     def log_integral_exp(self, values, sign: float = 1.0, weight=None, log_weight=None) -> float:
         """log of integral of w * e^(sign*f), evaluated as a log-sum-exp.
 
         `sign` is +1 or -1; a strictly positive weight field may be supplied,
         or its log (`log_weight`, taken once by the caller, e.g.
-        `CouplingConfig.log_weight`).  Safe for |f| up to ~700.
+        `CouplingConfig.log_weight`).  Safe for |f| up to ~700; raises
+        ValueError when sign*f + log w has a NaN or +inf.
         """
-        _check_sign(sign)
-        _require_finite(values)
-        g = sign * values
-        log_weight = _log_weight(weight, g.shape, log_weight)
-        if log_weight is not None:
-            g = g + log_weight
-        g = np.ascontiguousarray(g, dtype=np.float64)
-        m = float(g.max())
-        out = np.empty_like(g)
-        s = kernels.exp_shifted_sum(g, m, out)
+        _, m, s = self._exp_pass(values, sign, weight, log_weight)
         return m + float(np.log(self.cell_area * s))
 
     def normalized_exp(self, values, sign: float = 1.0, weight=None, log_weight=None):
         """The probability density w*e^(sign*f) / integral(w*e^(sign*f)),
         with the weight given as in `log_integral_exp`.
 
-        Returns (density, log_normalizer); density integrates to 1 up to
-        round-off by construction.
+        Returns (density, log_normalizer), the log_normalizer being
+        `log_integral_exp` of the same arguments; the density integrates to 1
+        up to round-off by construction.  This is the one exponential pass
+        of the rhs.
         """
-        _check_sign(sign)
-        _require_finite(values)
-        log_weight = _log_weight(weight, np.shape(values), log_weight)
-        if log_weight is not None:
-            g = sign * values + log_weight
-        elif sign == 1.0 or sign == 1:
-            g = values  # read-only use below; no copy needed
-        else:
-            g = -values
-        g = np.ascontiguousarray(g, dtype=np.float64)
-        m = float(g.max())
-        out = np.empty_like(g)
-        s = kernels.exp_shifted_sum(g, m, out)
+        out, m, s = self._exp_pass(values, sign, weight, log_weight)
         z = self.cell_area * s
         out /= z
         return out, m + float(np.log(z))

@@ -9,12 +9,14 @@ from liouwave import (
     bubble_field,
     cartan_matrix,
     energy,
+    equation_measures,
     evaluate_report,
     evolve,
     functional_J,
     grad_J,
     mt_residual,
     random_smooth_field,
+    rhs_fields,
     wave_state_new,
 )
 
@@ -301,6 +303,22 @@ class TestEvaluateReport:
                     assert x == pytest.approx(y, rel=1e-13, abs=1e-15), f.name
             else:
                 assert a == pytest.approx(b, rel=1e-13, abs=1e-15), f.name
+
+    @pytest.mark.parametrize("case", FAMILY_CASES)
+    def test_report_from_log_normalizers_matches(self, grid32, case):
+        # a report that reads each measure's centred log-integral off the
+        # rhs's log-normalizer (logz - sign*scale*ubar) agrees with the one
+        # that takes a log-sum-exp per measure
+        cfg = family_configs(grid32)[case]
+        st = seeded_state(grid32, cfg.ncomp)
+        _, logz = rhs_fields(grid32, st.u, cfg, return_log_normalizers=True)
+        assert [z is None for z in logz] == [m.rho == 0.0 for m in equation_measures(cfg)]
+        reused = evaluate_report(st, cfg, log_normalizers=logz)
+        direct = evaluate_report(st, cfg)
+        for f in dataclasses.fields(direct):
+            a, b = getattr(reused, f.name), getattr(direct, f.name)
+            for x, y in zip(a, b) if isinstance(a, tuple) else ((a, b),):
+                assert x == pytest.approx(y, rel=1e-13, abs=1e-15), f.name
 
     @pytest.mark.parametrize("case", FAMILY_CASES)
     def test_report_values_are_floats(self, grid32, case):

@@ -6,8 +6,6 @@ from liouwave import (
     CouplingConfig,
     MonitorThresholds,
     StepperConfig,
-    apply_cos,
-    apply_sinc,
     bubble_field,
     cartan_matrix,
     dense_evolve,
@@ -32,21 +30,24 @@ def eigenmode_state(grid, amp=1.0):
 
 
 class TestModeFactors:
+    # the time-t factors (cos, sinc, q, wsin) of `_mode_factors`, whose
+    # half-spectrum columns `StepTables.factors` holds
     def test_t_zero(self, grid32, rng):
         modes = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        assert np.array_equal(apply_cos(grid32, 0.0, modes), modes)
-        assert np.abs(apply_sinc(grid32, 0.0, modes)).max() == 0.0
+        cosw, sincw, _, _ = prop._mode_factors(grid32, 0.0)
+        assert np.array_equal(modes * cosw, modes)
+        assert np.abs(modes * sincw).max() == 0.0
 
     def test_unit_mode_half_period(self, grid32):
-        modes = np.zeros((32, 32), dtype=complex)
+        modes = np.zeros((32, 17), dtype=complex)
         modes[1, 0] = 1.0  # lambda = 1
-        out = apply_cos(grid32, np.pi, modes)
+        out = modes * prop.StepTables(grid32, np.pi).factors[0]
         assert out[1, 0] == pytest.approx(-1.0, rel=1e-14)
 
     def test_zero_mode_sinc_limit(self, grid32):
-        modes = np.zeros((32, 32), dtype=complex)
+        modes = np.zeros((32, 17), dtype=complex)
         modes[0, 0] = 1.0
-        out = apply_sinc(grid32, 3.0, modes)
+        out = modes * prop.StepTables(grid32, 3.0).factors[1]
         assert out[0, 0] == pytest.approx(3.0, rel=1e-15)
 
 
@@ -270,10 +271,12 @@ class TestEvolve:
         calls = {"n": 0}
         real = prop.rhs_fields
 
-        def exploding(grid, u, c):
+        def exploding(grid, u, c, **kwargs):
             calls["n"] += 1
-            out = real(grid, u, c)
+            out = real(grid, u, c, **kwargs)
             if calls["n"] > 4:
+                if kwargs.get("return_log_normalizers"):
+                    return out[0] + np.nan, out[1]
                 out = out + np.nan
             return out
 
@@ -281,6 +284,31 @@ class TestEvolve:
         traj = evolve(st, 1.0, StepperConfig(h=1e-2), cfg)
         assert traj.status == STATUS_NONFINITE
         assert traj.stop_reason.condition == "non_finite"
+
+    def test_nonfinite_forcing_input_stops_at_its_step(self, grid32, monkeypatch):
+        # the forcing at a state holding a NaN raises DynamicRangeError, and
+        # the run ends non-finite at the step whose forcing saw it: the
+        # carried forcing at u_2 is the 5th rhs call of the symmetric scheme
+        # (initial forcing, then predictor and new state per step)
+        cfg = CouplingConfig("sinh_gordon", (np.pi, np.pi))
+        st = eigenmode_state(grid32, 0.5)
+        calls = {"n": 0}
+        real = prop.rhs_fields
+
+        def poisoned(grid, u, c, **kwargs):
+            calls["n"] += 1
+            if calls["n"] >= 5:
+                u = u.copy()
+                u[0, 3, 3] = np.nan
+            return real(grid, u, c, **kwargs)
+
+        monkeypatch.setattr(prop, "rhs_fields", poisoned)
+        traj = evolve(st, 1.0, StepperConfig(h=1e-2), cfg)
+        assert traj.status == STATUS_NONFINITE
+        assert traj.stop_reason.condition == "non_finite"
+        assert calls["n"] == 5
+        assert traj.stop_reason.t == traj.final_state.t == pytest.approx(2e-2)
+        assert np.isfinite(traj.final_state.u).all()
 
     def test_rejects_backward_target(self, grid32):
         cfg = CouplingConfig("mean_field", (0.0,))
@@ -362,14 +390,19 @@ class TestSpectralState:
         traj = evolve(st, 12 * 1e-2, StepperConfig(h=1e-2, scheme=scheme, sample_every=4), cfg,
                       snapshot_every=6, on_checkpoint=checkpoints)
         assert traj.status == STATUS_COMPLETED and len(checkpoints) == 2
-        initial, rederive, v_steps = 2 * ncomp, 2 * 2 * ncomp, 2
-        assert counts["rfft2"] == initial + 12 * per_step * ncomp + rederive
-        assert counts["irfft2"] == 12 * per_step * ncomp + v_steps * ncomp
+        # every transform is one batched call over the components: the
+        # initial u and v plus the forcing at the initial state, one rfft per
+        # forcing and one irfft per new position, and u and v again at each
+        # checkpoint
+        initial, rederive, v_steps = 3, 2 * 2, 2
+        assert counts["rfft2"] == initial + 12 * per_step + rederive
+        assert counts["irfft2"] == 12 * per_step + v_steps
 
-    @pytest.mark.parametrize("family, lse_per_sample", [("sinh_gordon", 2), ("toda", 4)])
+    @pytest.mark.parametrize("family, lse_per_sample", [("sinh_gordon", 0), ("toda", 2)])
     def test_sample_cost(self, grid32, monkeypatch, family, lse_per_sample):
-        # a sample inside evolve reads the carried spectra: no transform, and
-        # one log-sum-exp per measure (Toda adds its unweighted log_minus)
+        # a sample inside evolve reads the carried spectra and the carried
+        # forcing's log-normalizers: no transform, and a log-sum-exp only for
+        # Toda's unweighted log_minus, one per component
         import scipy.fft
 
         from liouwave.surface import SpectralGrid

@@ -182,6 +182,26 @@ class TestScalarRhs:
         assert np.abs(out - direct).max() < 1e-14
 
 
+class TestNonFiniteState:
+    # the max of each exponential pass is the finiteness check: a NaN or a
+    # +inf in u is out of dynamic range
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("family", ["mean_field", "sinh_gordon", "toda"])
+    def test_rhs_fields_raises(self, grid32, rng, family, bad):
+        if family == "toda":
+            cfg = CouplingConfig("toda", (2.0, 3.0), matrix=cartan_matrix("A", 2))
+        elif family == "mean_field":
+            cfg = CouplingConfig("mean_field", (5.0,))
+        else:
+            cfg = CouplingConfig("sinh_gordon", (2.0, 3.0))
+        u = np.stack([random_smooth_field(grid32, rng, 3, 1.0) for _ in range(cfg.ncomp)])
+        u[-1, 5, 7] = bad
+        with pytest.raises(DynamicRangeError, match="dynamic range"):
+            rhs_fields(grid32, u, cfg)
+        with pytest.raises(DynamicRangeError, match="dynamic range"):
+            rhs_fields(grid32, u, cfg, return_log_normalizers=True)
+
+
 class TestWeightLogs:
     @pytest.mark.parametrize("family", ["sinh_gordon", "toda"])
     def test_weighted_calls_take_no_grid_log(self, grid32, rng, monkeypatch, family):
