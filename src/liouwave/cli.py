@@ -587,9 +587,12 @@ def _run_picard_verify(rc, out_dir, seed):
     )
     stepper = build_stepper(rc)
     stepper.scheme = "frozen"
-    sup = _sup_h1_distance(grid, states, state, cfg, stepper)
-    ratio_half = picard.first_contraction_ratio(state, cfg, T / 2, steps=max(2, int(round(T / 2 / h))))
-    ratio_full = picard.first_contraction_ratio(state, cfg, T, steps=max(2, int(round(T / h))))
+    sup = _sup_h1_distance(grid, rep.path, state, cfg, stepper)
+    # both first ratios are read off the solve, on its grid of m steps of h;
+    # the half horizon is round(m/2) steps, one when m = 1
+    m = len(states) - 1
+    ratio_full = rep.first_ratio()
+    ratio_half = rep.first_ratio(max(1, round(m / 2)))
     lines = [
         "scenario: picard-verify",
         f"R: {rep.R!r}",
@@ -606,19 +609,26 @@ def _run_picard_verify(rc, out_dir, seed):
     return 0
 
 
-def _sup_h1_distance(grid, states, state0, cfg, stepper):
-    """sup over the Picard time grid of the H1 distance to the frozen-scheme
-    orbit started from the same data."""
+def _sup_h1_distance(grid, path, state0, cfg, stepper):
+    """sup over the Picard time grid of the H1 distance between the u of
+    `path` (a Picard path's half spectra) and the frozen-scheme orbit started
+    from the same data.  The orbit is stepped as `evolve` steps it, carried
+    in mode space through `propagator._step` (per node one forward transform
+    of the forcing and one inverse transform of the new u), and each
+    distance is taken by Parseval on the half spectra."""
     rhs_eval = lambda u: rhs.rhs_fields(grid, u, cfg)
     tables = propagator.StepTables(grid, stepper.h)
-    mask = grid.dealias_mask if stepper.dealias else None
-    u, v = state0.u.copy(), state0.v.copy()
+    mask = grid.dealias_half_mask if stepper.dealias else None
+    norm, h1w, _ = picard._parseval_weights(grid)
+    u = state0.u
+    uh, vh = picard._initial_spectra(state0)
+    buffers = propagator._StepBuffers(uh)
     sup = 0.0
-    for k, st in enumerate(states):
+    for k in range(path.uh.shape[0]):
         if k > 0:
-            u, v = propagator._step_arrays(grid, u, v, tables, rhs_eval, "frozen", mask)
-        d = np.sqrt(sum(grid.norm_h1(st.u[i] - u[i]) ** 2 for i in range(st.ncomp)))
-        sup = max(sup, float(d))
+            fh = propagator._forcing_half(grid, rhs_eval(u), mask)
+            uh, vh, u = propagator._step(grid, uh, vh, fh, tables, rhs_eval, "frozen", mask, buffers)
+        sup = max(sup, float(picard._parseval_norm(norm, h1w, path.uh[k] - uh)))
     return sup
 
 

@@ -10,12 +10,24 @@ averages of the initial data.
 
 Paths are held as half (rfft) spectra, and F runs through the propagator's
 per-mode update (`StepTables`, `kernels.gautschi_combine`, `_forcing_half`),
-the same one the stepper and `linear_flow` use.
+the same one the stepper and `linear_flow` use.  `picard_solve` makes its
+returned states by one batched inverse transform each for u and v, and its
+report keeps the path's half spectra, against which picard-verify compares
+the stepper's orbit by Parseval without transforming the states back.
+
+The first contraction ratio has one definition, `_first_ratio`: the sup over
+the nodes of d(F^2 u, F u) over that of d(F u, u), from the free path u,
+with the per-node distances of `_node_distances`.  `picard_solve` keeps the
+per-node distances of its own first two corrections in its report, so the
+ratio on [0, k h] for any k <= m is read off the solve: F is causal (node
+j+1 of F(p) depends on nodes 0..j of p only), so nodes 0..k of the iterates
+are those of the solve on k steps.  `first_contraction_ratio` computes the
+same quantity on a grid of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,10 +36,18 @@ from .fields import WaveState
 from .propagator import StepTables, _forcing_half
 from .rhs import CouplingConfig, rhs_fields
 
+# a first correction at most this large counts as vanishing: ratio 0
+_VANISHING = 1e-300
+
 
 @dataclass
 class PicardReport:
-    """Ball radius, accepted horizon, and the measured contraction record."""
+    """Ball radius, accepted horizon, and the measured contraction record.
+
+    `first_distances` holds the per-node distances d(F u, u) and
+    d(F^2 u, F u) of the first two corrections from the free path u (the
+    second is left out when the first vanishes), and `path` the returned
+    path's half spectra."""
 
     R: float
     T: float
@@ -35,6 +55,13 @@ class PicardReport:
     contraction_ratios: list
     converged: bool
     final_distance: float
+    first_distances: tuple = field(default=(), repr=False)
+    path: _Path = field(default=None, repr=False)
+
+    def first_ratio(self, nodes=None) -> float:
+        """The first contraction ratio on nodes 0..nodes, i.e. on the horizon
+        nodes*h (all nodes when None)."""
+        return _first_ratio(self.first_distances, nodes)
 
 
 def picard_radius(state: WaveState) -> float:
@@ -55,17 +82,30 @@ class _Path:
         self.vh = vh
 
 
-def _path_distance(grid, a: _Path, b: _Path) -> float:
-    """sup over nodes of (H1 distance of u) + (L2 distance of v), by Parseval
-    on the half spectrum with the grid's Hermitian column weights."""
-    norm = grid.area / (grid.n1 * grid.n2) ** 2
+def _parseval_weights(grid):
+    """(norm, H1 weights, L2 weights) of the half spectrum: Parseval's
+    normalization and the per-mode weights, with the grid's Hermitian column
+    weights (columns 0 and n2/2 once, the others twice)."""
     colw = grid.half_column_weights
-    h1w = (1.0 + grid.lap_symbol[:, : colw.size]) * colw
-    du = a.uh - b.uh
-    dv = a.vh - b.vh
-    h1 = np.sqrt(norm * (h1w * (du.real**2 + du.imag**2)).sum(axis=(1, 2, 3)))
-    l2 = np.sqrt(norm * (colw * (dv.real**2 + dv.imag**2)).sum(axis=(1, 2, 3)))
-    return float((h1 + l2).max())
+    return grid.area / (grid.n1 * grid.n2) ** 2, (1.0 + grid.lap_symbol[:, : colw.size]) * colw, colw
+
+
+def _parseval_norm(norm, weights, dh):
+    """sqrt(norm * sum of weights * |dh|^2) over the last three axes
+    (components and modes) of the half spectra dh."""
+    return np.sqrt(norm * (weights * (dh.real**2 + dh.imag**2)).sum(axis=(-3, -2, -1)))
+
+
+def _node_distances(grid, a: _Path, b: _Path) -> np.ndarray:
+    """Per node, (H1 distance of u) + (L2 distance of v), by Parseval on the
+    half spectrum."""
+    norm, h1w, l2w = _parseval_weights(grid)
+    return _parseval_norm(norm, h1w, a.uh - b.uh) + _parseval_norm(norm, l2w, a.vh - b.vh)
+
+
+def _path_distance(grid, a: _Path, b: _Path) -> float:
+    """sup over nodes of `_node_distances`."""
+    return float(_node_distances(grid, a, b).max())
 
 
 def _initial_spectra(state: WaveState):
@@ -102,6 +142,49 @@ def _apply_solution_map(grid, cfg, path: _Path, u0h, v0h, tables, mask) -> _Path
     return _propagate(u0h, v0h, tables, path.uh.shape[0] - 1, forcing)
 
 
+def _iterates(grid, cfg, path: _Path, u0h, v0h, tables, mask):
+    """The Picard iterates F(p), F^2(p), ... of the path p, each with its
+    per-node distances to the iterate before."""
+    while True:
+        new_path = _apply_solution_map(grid, cfg, path, u0h, v0h, tables, mask)
+        d = _node_distances(grid, new_path, path)
+        path = new_path
+        yield path, d
+
+
+def _free_path_iterates(state, cfg, h, m, dealias):
+    """The free path on m steps of h from the state's data, and its Picard
+    iterates (`_iterates`)."""
+    g = state.grid
+    tables = StepTables(g, h)
+    mask = g.dealias_half_mask if dealias else None
+    u0h, v0h = _initial_spectra(state)
+    path = _free_path(u0h, v0h, tables, m)
+    return path, _iterates(g, cfg, path, u0h, v0h, tables, mask)
+
+
+def _first_distances(iterates, taken=()) -> tuple:
+    """Per-node distances of the first two corrections: those `taken`
+    already, completed from `iterates`.  The second is not taken when the
+    first vanishes."""
+    first = list(taken)
+    if not first:
+        first.append(next(iterates)[1])
+    if len(first) == 1 and float(first[0].max()) > _VANISHING:
+        first.append(next(iterates)[1])
+    return tuple(first)
+
+
+def _first_ratio(first_distances, nodes=None) -> float:
+    """d(F^2 u, F u) / d(F u, u) as sups over nodes 0..nodes (all when
+    None); 0 when the first correction vanishes there."""
+    stop = None if nodes is None else nodes + 1
+    lead = float(first_distances[0][:stop].max())
+    if lead <= _VANISHING:
+        return 0.0
+    return float(first_distances[1][:stop].max()) / lead
+
+
 def picard_solve(
     state: WaveState,
     cfg: CouplingConfig,
@@ -115,41 +198,41 @@ def picard_solve(
     between successive iterates falls below tol.
 
     Returns (states, report): the converged discrete path as WaveStates and
-    the PicardReport with per-iteration contraction ratios.  Three
-    consecutive ratios >= 1 abort with converged=False (shrink T).
+    the PicardReport with per-iteration contraction ratios and the first
+    two corrections' per-node distances (one more iteration is made, and
+    not counted, when the solve stops after one).  Three consecutive
+    ratios >= 1 abort with converged=False (shrink T).
     """
     if not (T > 0 and h > 0 and tol > 0):
         raise ValueError("T, h and tol must be positive")
     g = state.grid
     m = max(1, int(round(T / h)))
-    tables = StepTables(g, h)
-    mask = g.dealias_half_mask if dealias else None
-    u0h, v0h = _initial_spectra(state)
+    path, iterates = _free_path_iterates(state, cfg, h, m, dealias)
 
-    path = _free_path(u0h, v0h, tables, m)
     ratios = []
     distances = []
+    first = []
     converged = False
     rising = 0
     for _ in range(max_iter):
-        new_path = _apply_solution_map(g, cfg, path, u0h, v0h, tables, mask)
-        d = _path_distance(g, new_path, path)
+        path, node_d = next(iterates)
+        d = float(node_d.max())
+        if len(first) < 2:
+            first.append(node_d)
         if distances:
             prev = distances[-1]
             ratios.append(d / prev if prev > 0 else 0.0)
             rising = rising + 1 if ratios[-1] >= 1.0 else 0
         distances.append(d)
-        path = new_path
         if d <= tol:
             converged = True
             break
         if rising >= 3:
             break
+    first = _first_distances(iterates, first)
 
-    states = []
-    for j in range(m + 1):
-        states.append(WaveState(g, state.t + j * h, g.to_physical_half_stack(path.uh[j]),
-                                g.to_physical_half_stack(path.vh[j])))
+    u, v = g.to_physical_half_stack(path.uh), g.to_physical_half_stack(path.vh)
+    states = [WaveState(g, state.t + j * h, u[j], v[j]) for j in range(m + 1)]
     report = PicardReport(
         R=picard_radius(state),
         T=m * h,
@@ -157,25 +240,17 @@ def picard_solve(
         contraction_ratios=ratios,
         converged=converged,
         final_distance=distances[-1] if distances else 0.0,
+        first_distances=first,
+        path=path,
     )
     return states, report
 
 
 def first_contraction_ratio(state, cfg, T, steps=32, dealias=True) -> float:
-    """d(F^2 u, F u) / d(F u, u) starting from the free path; 0 for data whose
-    first correction already vanishes."""
-    g = state.grid
-    h = T / steps
-    tables = StepTables(g, h)
-    mask = g.dealias_half_mask if dealias else None
-    u0h, v0h = _initial_spectra(state)
-    p0 = _free_path(u0h, v0h, tables, steps)
-    p1 = _apply_solution_map(g, cfg, p0, u0h, v0h, tables, mask)
-    d0 = _path_distance(g, p1, p0)
-    if d0 <= 1e-300:
-        return 0.0
-    p2 = _apply_solution_map(g, cfg, p1, u0h, v0h, tables, mask)
-    return _path_distance(g, p2, p1) / d0
+    """d(F^2 u, F u) / d(F u, u) starting from the free path on `steps` steps
+    of T/steps; 0 for data whose first correction already vanishes."""
+    _, iterates = _free_path_iterates(state, cfg, T / steps, steps, dealias)
+    return _first_ratio(_first_distances(iterates))
 
 
 def picard_time(

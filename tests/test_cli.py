@@ -3,8 +3,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from liouwave import cli, make_torus_grid, random_smooth_field, wave_state_new
+from liouwave import cli, make_torus_grid, picard, propagator, random_smooth_field, rhs, wave_state_new
 
 BASE_CFG = """
 # deterministic smoke run
@@ -360,6 +361,125 @@ class TestRunScenarios:
         out = tmp_path / "fs"
         assert cli.run(cli.parse_config(cfg_text), str(out)) == 0
         assert (out / "scan.csv").read_text().startswith("s,J,")
+
+
+PICARD_CFG = (
+    "scenario = picard-verify\nfamily = sinh_gordon\nrho1 = 12.566\nrho2 = 12.566\n"
+    "grid.n1 = 32\ngrid.n2 = 32\nT = 0.05\nh = 0.001\nseed = 20\n"
+    "init.amplitude = 0.05\ninit.vel_amplitude = 0.02\n"
+)
+# the benchmark's picard-verify data on a 32^2 grid: 4 iterations
+PICARD_BENCH_CFG = (
+    "scenario = picard-verify\nfamily = sinh_gordon\n"
+    "rho1 = 12.566370614359172\nrho2 = 12.566370614359172\n"
+    "grid.n1 = 32\ngrid.n2 = 32\nT = 0.05\nh = 0.001\nseed = 11\n"
+    "init.kind = random\ninit.amplitude = 1.0\ninit.vel_amplitude = 0.5\n"
+)
+
+
+class TestPicardVerify:
+    """The picard-verify report: first ratios read off the one solve, and the
+    sup distance to the frozen stepper."""
+
+    @staticmethod
+    def run(tmp_path, text):
+        rc = cli.parse_config(text)
+        out = tmp_path / "pv"
+        assert cli.run(rc, str(out)) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        return rc, dict(line.split(": ", 1) for line in lines)
+
+    @staticmethod
+    def problem(rc):
+        grid = cli.build_grid(rc)
+        return grid, cli.build_initial_state(rc, grid, rc["seed"]), cli.build_coupling(rc)
+
+    def test_first_ratios_read_off_the_solve(self, tmp_path):
+        rc, rep = self.run(tmp_path, PICARD_CFG)
+        _, st, cfg = self.problem(rc)
+        h = rc["h"]
+        m = int(round(rc["T"] / h))
+        k = round(m / 2)
+        _, solve = picard.picard_solve(st, cfg, rc["T"], h)
+        r_full = float(rep["first_ratio_T"])
+        assert r_full == picard.first_contraction_ratio(st, cfg, m * h, steps=m)
+        assert r_full == solve.contraction_ratios[0] == solve.first_ratio()
+        r_half = float(rep["first_ratio_T_half"])
+        assert r_half == picard.first_contraction_ratio(st, cfg, k * h, steps=k)
+        assert 0 < r_half < r_full < 1
+
+    def test_first_ratios_honour_dealias(self, tmp_path):
+        rc, rep = self.run(tmp_path, PICARD_CFG + "dealias = false\n")
+        _, st, cfg = self.problem(rc)
+        h = rc["h"]
+        m = int(round(rc["T"] / h))
+        undealiased = picard.first_contraction_ratio(st, cfg, m * h, steps=m, dealias=False)
+        assert float(rep["first_ratio_T"]) == undealiased
+        assert undealiased != picard.first_contraction_ratio(st, cfg, m * h, steps=m)
+        k = round(m / 2)
+        assert float(rep["first_ratio_T_half"]) == picard.first_contraction_ratio(
+            st, cfg, k * h, steps=k, dealias=False)
+
+    def test_one_iteration_solve_keeps_the_ratio(self, tmp_path):
+        # the solve stops after one correction; the second is still taken
+        rc, rep = self.run(tmp_path, PICARD_CFG + "picard.max_iter = 1\n")
+        assert rep["iterations"] == "1" and rep["ratios"] == "[]"
+        _, st, cfg = self.problem(rc)
+        h = rc["h"]
+        m = int(round(rc["T"] / h))
+        assert float(rep["first_ratio_T"]) == picard.first_contraction_ratio(st, cfg, m * h, steps=m)
+
+    def test_zero_data(self, tmp_path):
+        rc, rep = self.run(tmp_path, PICARD_CFG + "init.kind = zero\n")
+        assert rep["iterations"] == "1" and rep["converged"] == "True"
+        assert rep["first_ratio_T"] == rep["first_ratio_T_half"] == "0.0"
+        assert rep["sup_h1_vs_stepper"] == "0.0"
+        _, st, cfg = self.problem(rc)
+        assert picard.first_contraction_ratio(st, cfg, rc["T"], steps=50) == 0.0
+        _, solve = picard.picard_solve(st, cfg, rc["T"], rc["h"])
+        assert len(solve.first_distances) == 1 and solve.first_ratio() == 0.0
+
+    def test_sup_matches_physical_stepper(self, tmp_path):
+        # the independent physical loop of acceptance criterion 5
+        rc, rep = self.run(tmp_path, PICARD_CFG)
+        grid, st, cfg = self.problem(rc)
+        states, _ = picard.picard_solve(st, cfg, rc["T"], rc["h"])
+        tables = propagator.StepTables(grid, rc["h"])
+        rhs_eval = lambda u: rhs.rhs_fields(grid, u, cfg)
+        u, v = st.u.copy(), st.v.copy()
+        sup = 0.0
+        for k, s_k in enumerate(states):
+            if k > 0:
+                u, v = propagator._step_arrays(grid, u, v, tables, rhs_eval, "frozen",
+                                               grid.dealias_mask)
+            sup = max(sup, grid.norm_h1(s_k.u[0] - u[0]))
+        reported = float(rep["sup_h1_vs_stepper"])
+        assert reported <= 1e-8
+        assert abs(reported - sup) <= 1e-12
+
+    def test_sup_bites_off_the_fixed_point(self, tmp_path):
+        # one iteration leaves the first iterate, not the fixed point; on the
+        # small data of PICARD_CFG it is still within 5.1e-9 of the stepper
+        _, converged = self.run(tmp_path, PICARD_BENCH_CFG)
+        assert float(converged["sup_h1_vs_stepper"]) <= 1e-8
+        _, first = self.run(tmp_path, PICARD_BENCH_CFG + "picard.max_iter = 1\n")
+        assert float(first["sup_h1_vs_stepper"]) > 1e-8
+
+    def test_transform_count(self, tmp_path, monkeypatch):
+        # one solve of 4 iterations on 50 steps, 2 + 4*(50 + 50) real transforms
+        # and 2 batched inverses for the states; one frozen orbit, 2 + 50 + 50;
+        # full transforms: 2 ifft2 + 1 fft2 for the data, 1 fft2 for the radius.
+        # Solving twice more for the first ratios and stepping the orbit in
+        # physical space, with an fft2 per node for its distance, took 1113.
+        counts = dict.fromkeys(("rfft2", "irfft2", "fft2", "ifft2"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _f=getattr(scipy.fft, name), **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        _, rep = self.run(tmp_path, PICARD_BENCH_CFG)
+        assert rep["iterations"] == "4"
+        assert counts == {"rfft2": 254, "irfft2": 252, "fft2": 2, "ifft2": 2}
 
 
 class TestMain:
