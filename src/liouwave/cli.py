@@ -615,20 +615,21 @@ def _sup_h1_distance(grid, path, state0, cfg, stepper):
     from the same data.  The orbit is stepped as `evolve` steps it, carried
     in mode space through `propagator._step` (per node one forward transform
     of the forcing and one inverse transform of the new u), and each
-    distance is taken by Parseval on the half spectra."""
+    distance is the Picard solve's per-node H1 distance on the half
+    spectra."""
     rhs_eval = lambda u: rhs.rhs_fields(grid, u, cfg)
     tables = propagator.StepTables(grid, stepper.h)
     mask = grid.dealias_half_mask if stepper.dealias else None
-    norm, h1w, _ = picard._parseval_weights(grid)
     u = state0.u
     uh, vh = picard._initial_spectra(state0)
+    dist = picard._NodeDistance(grid, uh.shape)
     buffers = propagator._StepBuffers(uh)
     sup = 0.0
     for k in range(path.uh.shape[0]):
         if k > 0:
             fh = propagator._forcing_half(grid, rhs_eval(u), mask)
             uh, vh, u = propagator._step(grid, uh, vh, fh, tables, rhs_eval, "frozen", mask, buffers)
-        sup = max(sup, float(picard._parseval_norm(norm, h1w, path.uh[k] - uh)))
+        sup = max(sup, dist.h1(path.uh[k], uh))
     return sup
 
 

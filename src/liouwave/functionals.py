@@ -198,8 +198,7 @@ def grad_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray
     if cfg.family == "toda":
         q = cfg.matrix.energy_form()
         coeffs = cfg.matrix.log_coefficients(cfg.rho)
-        lap = np.stack([grid.minus_laplacian(u[j]) for j in range(cfg.matrix.n)])
-        out = np.einsum("ij,jxy->ixy", q, lap)
+        out = np.einsum("ij,jxy->ixy", q, grid.minus_laplacian(u))
         inv_area = 1.0 / grid.area
         for i in range(cfg.matrix.n):
             dens, _ = grid.normalized_exp(u[i], 1.0, log_weight=cfg.log_weight(i))

@@ -10,23 +10,29 @@ averages of the initial data.
 
 Paths are held as half (rfft) spectra, and F runs through the propagator's
 per-mode update (`StepTables`, `kernels.gautschi_combine`, `_forcing_half`),
-the same one the stepper and `linear_flow` use.  `picard_solve` makes its
-returned states by one batched inverse transform each for u and v, and its
-report keeps the path's half spectra, against which picard-verify compares
-the stepper's orbit by Parseval without transforming the states back.
+the same one the stepper and `linear_flow` use.  The iterates live in one
+path buffer: F is causal (node j+1 of F(p) depends on nodes 0..j of p only),
+so node j+1 of F(p) waits in a one-node buffer until p[j+1] has been read,
+for its distance and its forcing, and is then stored over it.  Distances are
+taken node by node (`_NodeDistance`: one product of the float view of a
+node's difference with the grid's interleaved Parseval weights), with no
+whole-path temporaries.  `picard_solve` builds its returned states one node
+at a time, and its report keeps the path's half spectra, against which
+picard-verify compares the stepper's orbit by the same per-node distance
+without transforming the states back.
 
 The first contraction ratio has one definition, `_first_ratio`: the sup over
-the nodes of d(F^2 u, F u) over that of d(F u, u), from the free path u,
-with the per-node distances of `_node_distances`.  `picard_solve` keeps the
-per-node distances of its own first two corrections in its report, so the
-ratio on [0, k h] for any k <= m is read off the solve: F is causal (node
-j+1 of F(p) depends on nodes 0..j of p only), so nodes 0..k of the iterates
-are those of the solve on k steps.  `first_contraction_ratio` computes the
-same quantity on a grid of its own.
+the nodes of d(F^2 u, F u) over that of d(F u, u), from the free path u.
+`picard_solve` keeps the per-node distances of its own first two
+corrections in its report, so by causality the ratio on [0, k h] for any
+k <= m is read off the solve: nodes 0..k of the iterates are those of the
+solve on k steps.  `first_contraction_ratio` computes the same quantity on
+a grid of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,25 +88,36 @@ class _Path:
         self.vh = vh
 
 
-def _parseval_weights(grid):
-    """(norm, H1 weights, L2 weights) of the half spectrum: Parseval's
-    normalization and the per-mode weights, with the grid's Hermitian column
-    weights (columns 0 and n2/2 once, the others twice)."""
-    colw = grid.half_column_weights
-    return grid.area / (grid.n1 * grid.n2) ** 2, (1.0 + grid.lap_symbol[:, : colw.size]) * colw, colw
+class _NodeDistance:
+    """Parseval distances between the half spectra of one node, shaped
+    (ncomp, n1, n2//2+1): the H1 distance of two u and the L2 distance of two
+    v, each one product of the squared float view of their difference with
+    the grid's interleaved Parseval weights (`SpectralGrid.gram_weights`,
+    plus `gram_gradient_weights` for H1).  Holds one node-sized scratch."""
 
+    def __init__(self, grid, shape):
+        self.norm = grid.area / (grid.n1 * grid.n2) ** 2
+        ncomp = shape[0]
+        self.h1w = np.tile((grid.gram_weights + grid.gram_gradient_weights).ravel(), ncomp)
+        self.l2w = np.tile(grid.gram_weights, ncomp * grid.n1)
+        self.diff = np.empty(shape, dtype=np.complex128)
 
-def _parseval_norm(norm, weights, dh):
-    """sqrt(norm * sum of weights * |dh|^2) over the last three axes
-    (components and modes) of the half spectra dh."""
-    return np.sqrt(norm * (weights * (dh.real**2 + dh.imag**2)).sum(axis=(-3, -2, -1)))
+    def _distance(self, a, b, weights) -> float:
+        x = np.subtract(a, b, out=self.diff).view(np.float64).reshape(-1)
+        return math.sqrt(self.norm * float(np.square(x, out=x) @ weights))
+
+    def h1(self, au, bu) -> float:
+        return self._distance(au, bu, self.h1w)
+
+    def __call__(self, au, av, bu, bv) -> float:
+        """(H1 distance of u) + (L2 distance of v)."""
+        return self.h1(au, bu) + self._distance(av, bv, self.l2w)
 
 
 def _node_distances(grid, a: _Path, b: _Path) -> np.ndarray:
-    """Per node, (H1 distance of u) + (L2 distance of v), by Parseval on the
-    half spectrum."""
-    norm, h1w, l2w = _parseval_weights(grid)
-    return _parseval_norm(norm, h1w, a.uh - b.uh) + _parseval_norm(norm, l2w, a.vh - b.vh)
+    """Per node, (H1 distance of u) + (L2 distance of v) (`_NodeDistance`)."""
+    dist = _NodeDistance(grid, a.uh.shape[1:])
+    return np.array([dist(a.uh[j], a.vh[j], b.uh[j], b.vh[j]) for j in range(a.uh.shape[0])])
 
 
 def _path_distance(grid, a: _Path, b: _Path) -> float:
@@ -113,64 +130,63 @@ def _initial_spectra(state: WaveState):
     return g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v)
 
 
-def _propagate(u0h, v0h, tables, m, forcing) -> _Path:
-    """Nodes 0..m of the frozen-forcing update from (u0h, v0h), with
-    forcing(j) the half spectra frozen over step j."""
+def _free_path(u0h, v0h, tables, m) -> _Path:
+    """The solution map with zero forcing: the free flow at the nodes."""
     uh = np.empty((m + 1,) + u0h.shape, dtype=np.complex128)
     vh = np.empty_like(uh)
     uh[0], vh[0] = u0h, v0h
-    tmp = np.empty_like(u0h)
+    zero, tmp = np.zeros_like(u0h), np.empty_like(u0h)
     for j in range(m):
-        kernels.gautschi_combine(*tables.factors, uh[j], vh[j], forcing(j), uh[j + 1], vh[j + 1],
-                                 tmp=tmp)
+        kernels.gautschi_combine(*tables.factors, uh[j], vh[j], zero, uh[j + 1], vh[j + 1], tmp=tmp)
     return _Path(uh, vh)
 
 
-def _free_path(u0h, v0h, tables, m) -> _Path:
-    """The solution map with zero forcing: the free flow at the nodes."""
-    zero = np.zeros_like(u0h)
-    return _propagate(u0h, v0h, tables, m, lambda j: zero)
+def _iterates(grid, cfg, path: _Path, tables, mask):
+    """The Picard iterates F(p), F^2(p), ... of the path p, each written over
+    p's own buffer, with its per-node distances to the iterate before.
 
-
-def _apply_solution_map(grid, cfg, path: _Path, u0h, v0h, tables, mask) -> _Path:
-    """F(path): propagate the initial data with forcing frozen at the nodes
-    of the given path."""
-    def forcing(j):
-        u_phys = grid.to_physical_half_stack(path.uh[j])
-        return _forcing_half(grid, rhs_fields(grid, u_phys, cfg), mask)
-
-    return _propagate(u0h, v0h, tables, path.uh.shape[0] - 1, forcing)
-
-
-def _iterates(grid, cfg, path: _Path, u0h, v0h, tables, mask):
-    """The Picard iterates F(p), F^2(p), ... of the path p, each with its
-    per-node distances to the iterate before."""
+    F(p) starts from p's node 0, the initial data, and steps node j with
+    the forcing frozen at p[j].  Node j+1 of F(p) waits in a one-node buffer
+    while p[j+1] is read for its distance and then for its forcing, and is
+    stored over p[j+1] before the next combine reads it."""
+    m = path.uh.shape[0] - 1
+    node_uh, node_vh, tmp = (np.empty_like(path.uh[0]) for _ in range(3))
+    dist = _NodeDistance(grid, node_uh.shape)
     while True:
-        new_path = _apply_solution_map(grid, cfg, path, u0h, v0h, tables, mask)
-        d = _node_distances(grid, new_path, path)
-        path = new_path
+        d = np.zeros(m + 1)  # node 0 is the initial data in every iterate
+        for j in range(m):
+            u_phys = grid.to_physical_half_stack(path.uh[j])
+            fh = _forcing_half(grid, rhs_fields(grid, u_phys, cfg), mask)
+            if j > 0:
+                path.uh[j], path.vh[j] = node_uh, node_vh
+            kernels.gautschi_combine(*tables.factors, path.uh[j], path.vh[j], fh, node_uh, node_vh,
+                                     tmp=tmp)
+            d[j + 1] = dist(node_uh, node_vh, path.uh[j + 1], path.vh[j + 1])
+        path.uh[m], path.vh[m] = node_uh, node_vh
         yield path, d
 
 
 def _free_path_iterates(state, cfg, h, m, dealias):
     """The free path on m steps of h from the state's data, and its Picard
-    iterates (`_iterates`)."""
+    iterates (`_iterates`), which overwrite it."""
     g = state.grid
     tables = StepTables(g, h)
     mask = g.dealias_half_mask if dealias else None
-    u0h, v0h = _initial_spectra(state)
-    path = _free_path(u0h, v0h, tables, m)
-    return path, _iterates(g, cfg, path, u0h, v0h, tables, mask)
+    path = _free_path(*_initial_spectra(state), tables, m)
+    return path, _iterates(g, cfg, path, tables, mask)
+
+
+def _first_complete(first) -> bool:
+    """Whether `first` holds the per-node distances of both first
+    corrections, or of the first alone when it vanishes."""
+    return len(first) == 2 or (len(first) == 1 and float(first[0].max()) <= _VANISHING)
 
 
 def _first_distances(iterates, taken=()) -> tuple:
     """Per-node distances of the first two corrections: those `taken`
-    already, completed from `iterates`.  The second is not taken when the
-    first vanishes."""
+    already, completed from `iterates`."""
     first = list(taken)
-    if not first:
-        first.append(next(iterates)[1])
-    if len(first) == 1 and float(first[0].max()) > _VANISHING:
+    while not _first_complete(first):
         first.append(next(iterates)[1])
     return tuple(first)
 
@@ -229,9 +245,16 @@ def picard_solve(
             break
         if rising >= 3:
             break
-    first = _first_distances(iterates, first)
+    if not _first_complete(first):
+        # the uncounted second correction is drawn over the path buffer
+        path = _Path(path.uh.copy(), path.vh.copy())
+        first = _first_distances(iterates, first)
 
-    u, v = g.to_physical_half_stack(path.uh), g.to_physical_half_stack(path.vh)
+    u = np.empty((m + 1,) + state.u.shape)
+    v = np.empty_like(u)
+    for j in range(m + 1):
+        u[j] = g.to_physical_half_stack(path.uh[j])
+        v[j] = g.to_physical_half_stack(path.vh[j])
     states = [WaveState(g, state.t + j * h, u[j], v[j]) for j in range(m + 1)]
     report = PicardReport(
         R=picard_radius(state),
@@ -240,7 +263,7 @@ def picard_solve(
         contraction_ratios=ratios,
         converged=converged,
         final_distance=distances[-1] if distances else 0.0,
-        first_distances=first,
+        first_distances=tuple(first),
         path=path,
     )
     return states, report

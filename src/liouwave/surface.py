@@ -10,9 +10,9 @@ exponential goes through a log-sum-exp path so that fields with values up to
 The stepping and sampling path uses the half (rfft) spectra of stacked
 components, each stack in one batched scipy call.  `normalized_exp` and
 `log_integral_exp` share one exponential pass (one max, which is also the
-finiteness check, one exp, one sum); the full complex pair
-`to_spectral`/`to_physical` remains for the norms, `minus_laplacian` and
-seeded data.
+finiteness check, one exp, one sum).  The H1 norms and `minus_laplacian`
+work on half spectra too; the full complex pair `to_spectral`/`to_physical`
+remains for seeded data, the self-check battery and the oracle.
 """
 
 from __future__ import annotations
@@ -152,17 +152,24 @@ class SpectralGrid:
         return float(np.sqrt(self.cell_area * float((values * values).sum())))
 
     def seminorm_h1(self, values: np.ndarray) -> float:
-        """L2 norm of the gradient, computed from the Laplacian symbol."""
-        modes = self.to_spectral(values)
-        s = float((self.lap_symbol * (modes.real**2 + modes.imag**2)).sum())
+        """L2 norm of the gradient, computed from the Laplacian symbol on the
+        half spectrum: one product of its squared float view with
+        `gram_gradient_weights`."""
+        _require_finite(values)
+        x = self.to_spectral_half(values).view(np.float64)
+        s = float(np.square(x, out=x).ravel() @ self.gram_gradient_weights.ravel())
         return float(np.sqrt(self.area * s)) / (self.n1 * self.n2)
 
     def norm_h1(self, values: np.ndarray) -> float:
         return float(np.hypot(self.seminorm_h1(values), self.norm_l2(values)))
 
     def minus_laplacian(self, values: np.ndarray) -> np.ndarray:
-        """-Delta applied spectrally (the symbol is that of -Delta)."""
-        return self.to_physical(self.lap_symbol * self.to_spectral(values))
+        """-Delta applied spectrally (the symbol is that of -Delta), on the
+        half spectra of a field or of stacked fields (..., n1, n2)."""
+        _require_finite(values)
+        modes = self.to_spectral_half_stack(values)
+        modes *= self.lap_symbol[:, : modes.shape[-1]]
+        return self.to_physical_half_stack(modes)
 
     # -- stable exponentials --------------------------------------------------
 

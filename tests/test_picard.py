@@ -12,7 +12,7 @@ from liouwave import (
     rhs_fields,
     wave_state_new,
 )
-from liouwave.picard import _Path, _path_distance, first_contraction_ratio
+from liouwave.picard import _NodeDistance, _node_distances, _Path, _path_distance, first_contraction_ratio
 
 
 def small_state(grid, amp=0.05, seed=20):
@@ -53,6 +53,84 @@ def test_half_spectrum_path_distance_matches_full(grid32, rng):
     h1 = np.sqrt(norm * ((1.0 + grid32.lap_symbol) * np.abs(du) ** 2).sum(axis=(1, 2, 3)))
     l2 = np.sqrt(norm * (np.abs(dv) ** 2).sum(axis=(1, 2, 3)))
     assert d == pytest.approx(float((h1 + l2).max()), rel=1e-12)
+
+
+def _parseval_norm(norm, weights, dh):
+    # the whole-path formula the per-node distance replaced: sqrt(norm * sum
+    # of weights * |dh|^2) over components and modes
+    return np.sqrt(norm * (weights * (dh.real**2 + dh.imag**2)).sum(axis=(-3, -2, -1)))
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_node_distance_matches_whole_path_formula(grid32, rng, ncomp):
+    shape = (5, ncomp, 32, 32)
+    au, av, bu, bv = (np.fft.rfft2(rng.standard_normal(shape)) for _ in range(4))
+    colw = grid32.half_column_weights
+    norm = grid32.area / (32 * 32) ** 2
+    h1 = _parseval_norm(norm, (1.0 + grid32.lap_symbol[:, : colw.size]) * colw, au - bu)
+    l2 = _parseval_norm(norm, colw, av - bv)
+    d = _node_distances(grid32, _Path(au, av), _Path(bu, bv))
+    np.testing.assert_allclose(d, h1 + l2, rtol=1e-12, atol=0)
+    dist = _NodeDistance(grid32, au.shape[1:])
+    np.testing.assert_allclose([dist.h1(au[j], bu[j]) for j in range(5)], h1, rtol=1e-12, atol=0)
+    assert dist(au[0], av[0], au[0], av[0]) == 0.0
+
+
+def _frozen_loop(u0h, v0h, tables, m, forcing):
+    # nodes 0..m of the frozen-forcing update, forcing(j) frozen over step j,
+    # each step in numpy expressions
+    cos, sinc, q, wsin = tables.factors
+    uh = np.empty((m + 1,) + u0h.shape, dtype=complex)
+    vh = np.empty_like(uh)
+    uh[0], vh[0] = u0h, v0h
+    for j in range(m):
+        fh = forcing(j)
+        uh[j + 1] = cos * uh[j] + sinc * vh[j] + q * fh
+        vh[j + 1] = cos * vh[j] - wsin * uh[j] + sinc * fh
+    return _Path(uh, vh)
+
+
+def _iterate(grid, st, h, m, k):
+    # the k-th Picard iterate from the free path on m steps of h, each
+    # iterate by the frozen-forcing loop over the one before
+    tables = prop.StepTables(grid, h)
+    u0h, v0h = grid.to_spectral_half_stack(st.u), grid.to_spectral_half_stack(st.v)
+    path = _frozen_loop(u0h, v0h, tables, m, lambda j: np.zeros_like(u0h))
+    for _ in range(k):
+        def forcing(j, prev=path):
+            u = grid.to_physical_half_stack(prev.uh[j])
+            return prop._forcing_half(grid, rhs_fields(grid, u, SG), grid.dealias_half_mask)
+        path = _frozen_loop(u0h, v0h, tables, m, forcing)
+    return path
+
+
+class TestOnePathBuffer:
+    """The iterates overwrite one path buffer; the solve returns its last
+    counted iterate, also when it draws one more for the first ratio."""
+
+    def check_last_counted(self, grid, st, states, rep, h):
+        m = len(states) - 1
+        expect = _iterate(grid, st, h, m, rep.iterations)
+        assert np.array_equal(rep.path.uh, expect.uh)
+        assert np.array_equal(rep.path.vh, expect.vh)
+        for j, s in enumerate(states):
+            assert np.array_equal(s.u, grid.to_physical_half_stack(rep.path.uh[j]))
+            assert np.array_equal(s.v, grid.to_physical_half_stack(rep.path.vh[j]))
+
+    def test_one_iteration_keeps_the_counted_iterate(self, grid32):
+        # the second correction is drawn after the solve stops
+        st = small_state(grid32)
+        states, rep = picard_solve(st, SG, 0.05, 1e-3, max_iter=1)
+        assert rep.iterations == 1 and not rep.converged
+        assert len(rep.first_distances) == 2 and 0 < rep.first_ratio() < 1
+        self.check_last_counted(grid32, st, states, rep, 1e-3)
+
+    def test_diverging_solve_keeps_the_counted_iterate(self, grid32):
+        st = small_state(grid32, 1.0)
+        states, rep = picard_solve(st, SG, 24.0, 0.5, tol=1e-12, max_iter=12)
+        assert not rep.converged and rep.iterations < 12
+        assert all(r >= 1.0 for r in rep.contraction_ratios[-3:])
+        self.check_last_counted(grid32, st, states, rep, 0.5)
 
 
 class TestPicardSolve:

@@ -141,6 +141,20 @@ class TestNormsAndMeans:
         assert grid64.seminorm_h1(f) ** 2 == pytest.approx(2 * np.pi**2, rel=1e-13)
         assert grid64.norm_h1(f) ** 2 == pytest.approx(4 * np.pi**2, rel=1e-13)
 
+    @pytest.mark.parametrize("n1,n2,L2", [(32, 32, TWO_PI), (16, 24, 3.0)])
+    def test_half_spectrum_matches_full_spectrum(self, rng, n1, n2, L2):
+        # the full complex spectrum, as the norms and -Delta were first taken
+        g = make_torus_grid(n1, n2, TWO_PI, L2)
+        f = rng.standard_normal((n1, n2))
+        modes = np.fft.fft2(f)
+        semi = np.sqrt(g.area * (g.lap_symbol * np.abs(modes) ** 2).sum()) / (n1 * n2)
+        assert g.seminorm_h1(f) == pytest.approx(semi, rel=1e-12)
+        assert g.norm_h1(f) == pytest.approx(np.hypot(semi, g.norm_l2(f)), rel=1e-12)
+        lap = np.fft.ifft2(g.lap_symbol * modes).real
+        np.testing.assert_allclose(g.minus_laplacian(f), lap, rtol=0, atol=1e-12 * np.abs(lap).max())
+        stack = np.stack([f, 2.0 * f])
+        np.testing.assert_array_equal(g.minus_laplacian(stack), np.stack([g.minus_laplacian(c) for c in stack]))
+
     def test_seminorm_vs_finite_differences(self, grid64):
         # independent oracle: evaluate the same band-limited field on a fine
         # grid analytically and do 4th-order central differences there
