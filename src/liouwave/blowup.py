@@ -85,7 +85,7 @@ def _ball_kernel_half(grid: SpectralGrid, r: float) -> np.ndarray:
     """Half spectrum of the discretized indicator of the ball B(0, r)."""
     if not r < min(grid.L1, grid.L2) / 2:
         raise ValueError("ball radius must be below half the shortest period")
-    return grid.to_spectral_half((grid.torus_distance((0.0, 0.0)) <= r).astype(float))
+    return grid.to_spectral_half_stack((grid.torus_distance((0.0, 0.0)) <= r).astype(float))
 
 
 def ball_mass_map(grid: SpectralGrid, dens: np.ndarray, r: float, kernel_half=None) -> np.ndarray:
@@ -95,7 +95,7 @@ def ball_mass_map(grid: SpectralGrid, dens: np.ndarray, r: float, kernel_half=No
     r, is transformed here when not given."""
     if kernel_half is None:
         kernel_half = _ball_kernel_half(grid, r)
-    conv = grid.to_physical_half(grid.to_spectral_half(dens) * kernel_half)
+    conv = grid.to_physical_half_stack(grid.to_spectral_half_stack(dens) * kernel_half)
     out = conv * grid.cell_area
     np.maximum(out, 0.0, out=out)
     return out

@@ -115,7 +115,7 @@ SCHEMA = {
     "ncomp": (int, 2, _positive),
     "T": (float, 1.0, _nonnegative),
     "h": (float, 1e-2, _positive),
-    "scheme": (str, "symmetric", _choice("frozen", "symmetric")),
+    "scheme": (str, "symmetric", _choice(*propagator.SCHEMES)),
     "dealias": (_parse_bool, True, None),
     "sample_every": (int, 10, _positive),
     "seed": (int, 0, _nonnegative),
@@ -585,9 +585,7 @@ def _run_picard_verify(rc, out_dir, seed):
         state, cfg, T, h, tol=rc["picard.tol"], max_iter=rc["picard.max_iter"],
         dealias=rc["dealias"],
     )
-    stepper = build_stepper(rc)
-    stepper.scheme = "frozen"
-    sup = _sup_h1_distance(grid, rep.path, state, cfg, stepper)
+    sup = _sup_h1_distance(grid, rep.path, state, cfg, h, rc["dealias"])
     # both first ratios are read off the solve, on its grid of m steps of h;
     # the half horizon is round(m/2) steps, one when m = 1
     m = len(states) - 1
@@ -609,26 +607,21 @@ def _run_picard_verify(rc, out_dir, seed):
     return 0
 
 
-def _sup_h1_distance(grid, path, state0, cfg, stepper):
+def _sup_h1_distance(grid, path, state0, cfg, h, dealias):
     """sup over the Picard time grid of the H1 distance between the u of
     `path` (a Picard path's half spectra) and the frozen-scheme orbit started
     from the same data.  The orbit is stepped as `evolve` steps it, carried
-    in mode space through `propagator._step` (per node one forward transform
-    of the forcing and one inverse transform of the new u), and each
-    distance is the Picard solve's per-node H1 distance on the half
+    in mode space through `propagator.Stepper.step` (per node one forward
+    transform of the forcing and one inverse transform of the new u), and
+    each distance is the Picard solve's per-node H1 distance on the half
     spectra."""
-    rhs_eval = lambda u: rhs.rhs_fields(grid, u, cfg)
-    tables = propagator.StepTables(grid, stepper.h)
-    mask = grid.dealias_half_mask if stepper.dealias else None
+    step = propagator.Stepper(grid, h, lambda u: rhs.rhs_fields(grid, u, cfg), "frozen", dealias)
     u = state0.u
-    uh, vh = picard._initial_spectra(state0)
+    uh, vh = grid.to_spectral_half_stack(u), grid.to_spectral_half_stack(state0.v)
     dist = picard._NodeDistance(grid, uh.shape)
-    buffers = propagator._StepBuffers(uh)
-    sup = 0.0
-    for k in range(path.uh.shape[0]):
-        if k > 0:
-            fh = propagator._forcing_half(grid, rhs_eval(u), mask)
-            uh, vh, u = propagator._step(grid, uh, vh, fh, tables, rhs_eval, "frozen", mask, buffers)
+    sup = dist.h1(path.uh[0], uh)
+    for k in range(1, path.uh.shape[0]):
+        uh, vh, u = step.step(uh, vh, step.forcing(u))
         sup = max(sup, dist.h1(path.uh[k], uh))
     return sup
 

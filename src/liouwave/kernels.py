@@ -1,12 +1,12 @@
 """Numpy kernels of the hot elementwise loops.
 
-`gautschi_combine` is the per-mode trigonometric update of the stepper; the
-step, `linear_flow` and the Picard map all run through it on the stacked
-half spectra of all components at once.
-`exp_shifted_sum` is the shifted exponential behind every log-sum-exp
-integral.  Call sites go through the module attributes
-(``kernels.gautschi_combine``), so a wrapper installed on the module is seen
-everywhere.
+`gautschi_combine` is the per-mode trigonometric update of the stepper;
+`propagator.Stepper` (so `evolve`, `duhamel_step` and `linear_flow`) and the
+Picard map all run through it on the stacked half spectra of all components
+at once.  `exp_shifted_sum` is the shifted exponential behind every
+log-sum-exp integral.  Call sites look both up as module attributes at call
+time (``kernels.gautschi_combine``), never bind them at import or in a
+`Stepper`, so a wrapper installed on the module is seen everywhere.
 """
 
 import numpy as np

@@ -9,8 +9,9 @@ shrinks roughly linearly with T.  Every iterate preserves the component
 averages of the initial data.
 
 Paths are held as half (rfft) spectra, and F runs through the propagator's
-per-mode update (`StepTables`, `kernels.gautschi_combine`, `_forcing_half`),
-the same one the stepper and `linear_flow` use.  The iterates live in one
+per-mode update: the time-h factors and the masked forcing of a
+`propagator.Stepper` (`factors`, `forcing`) and `kernels.gautschi_combine`,
+the same ones `evolve` and `linear_flow` step with.  The iterates live in one
 path buffer: F is causal (node j+1 of F(p) depends on nodes 0..j of p only),
 so node j+1 of F(p) waits in a one-node buffer until p[j+1] has been read,
 for its distance and its forcing, and is then stored over it.  Distances are
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .fields import WaveState
-from .propagator import StepTables, _forcing_half
+from .propagator import Stepper
 from .rhs import CouplingConfig, rhs_fields
 
 # a first correction at most this large counts as vanishing: ratio 0
@@ -125,23 +126,18 @@ def _path_distance(grid, a: _Path, b: _Path) -> float:
     return float(_node_distances(grid, a, b).max())
 
 
-def _initial_spectra(state: WaveState):
-    g = state.grid
-    return g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v)
-
-
-def _free_path(u0h, v0h, tables, m) -> _Path:
+def _free_path(u0h, v0h, factors, m) -> _Path:
     """The solution map with zero forcing: the free flow at the nodes."""
     uh = np.empty((m + 1,) + u0h.shape, dtype=np.complex128)
     vh = np.empty_like(uh)
     uh[0], vh[0] = u0h, v0h
     zero, tmp = np.zeros_like(u0h), np.empty_like(u0h)
     for j in range(m):
-        kernels.gautschi_combine(*tables.factors, uh[j], vh[j], zero, uh[j + 1], vh[j + 1], tmp=tmp)
+        kernels.gautschi_combine(*factors, uh[j], vh[j], zero, uh[j + 1], vh[j + 1], tmp=tmp)
     return _Path(uh, vh)
 
 
-def _iterates(grid, cfg, path: _Path, tables, mask):
+def _iterates(path: _Path, step: Stepper):
     """The Picard iterates F(p), F^2(p), ... of the path p, each written over
     p's own buffer, with its per-node distances to the iterate before.
 
@@ -149,17 +145,16 @@ def _iterates(grid, cfg, path: _Path, tables, mask):
     the forcing frozen at p[j].  Node j+1 of F(p) waits in a one-node buffer
     while p[j+1] is read for its distance and then for its forcing, and is
     stored over p[j+1] before the next combine reads it."""
-    m = path.uh.shape[0] - 1
+    grid, m = step.grid, path.uh.shape[0] - 1
     node_uh, node_vh, tmp = (np.empty_like(path.uh[0]) for _ in range(3))
     dist = _NodeDistance(grid, node_uh.shape)
     while True:
         d = np.zeros(m + 1)  # node 0 is the initial data in every iterate
         for j in range(m):
-            u_phys = grid.to_physical_half_stack(path.uh[j])
-            fh = _forcing_half(grid, rhs_fields(grid, u_phys, cfg), mask)
+            fh = step.forcing(grid.to_physical_half_stack(path.uh[j]))
             if j > 0:
                 path.uh[j], path.vh[j] = node_uh, node_vh
-            kernels.gautschi_combine(*tables.factors, path.uh[j], path.vh[j], fh, node_uh, node_vh,
+            kernels.gautschi_combine(*step.factors, path.uh[j], path.vh[j], fh, node_uh, node_vh,
                                      tmp=tmp)
             d[j + 1] = dist(node_uh, node_vh, path.uh[j + 1], path.vh[j + 1])
         path.uh[m], path.vh[m] = node_uh, node_vh
@@ -170,10 +165,10 @@ def _free_path_iterates(state, cfg, h, m, dealias):
     """The free path on m steps of h from the state's data, and its Picard
     iterates (`_iterates`), which overwrite it."""
     g = state.grid
-    tables = StepTables(g, h)
-    mask = g.dealias_half_mask if dealias else None
-    path = _free_path(*_initial_spectra(state), tables, m)
-    return path, _iterates(g, cfg, path, tables, mask)
+    step = Stepper(g, h, lambda u: rhs_fields(g, u, cfg), "frozen", dealias)
+    u0h, v0h = g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v)
+    path = _free_path(u0h, v0h, step.factors, m)
+    return path, _iterates(path, step)
 
 
 def _first_complete(first) -> bool:

@@ -9,39 +9,41 @@ with zero forcing the stepper is exact to round-off for any step size.
 The forcing's zero mode is annihilated each step, so the component averages
 obey exactly ubar+ = ubar + h*vbar with vbar constant.
 
-One per-mode update serves every caller: `_mode_factors` builds the
-per-mode factors, `StepTables` keeps their half-spectrum (rfft) columns, and
+One object, `Stepper`, is behind every step.  It holds the time-h factors
+of `_mode_factors` (the one builder of the per-mode factors, on the half
+(rfft) columns), the forcing's dealias mask and the step's buffers, and
 `kernels.gautschi_combine` applies the update to the stacked half spectra
-of all components in one call.  The step and the Picard solution map both
-run through it.
+of all components in one call.  `evolve`, `duhamel_step`, `linear_flow`
+and the Picard solution map all run through it.
 
-The state is carried in mode space.  `_step`, the one stepping primitive,
-maps the half spectra (uh, vh) plus the half spectra fh of the forcing at
-the physical u to the new (uh, vh) and the new physical u, writing into
-preallocated buffers (`_StepBuffers`).  `evolve` then evaluates the forcing
-at the new u, after the step's finiteness checks, and carries it into the
-next step; that is the same arithmetic as evaluating it at the start of the
-next step.  Every transform is one batched scipy call over the components,
-so a symmetric step costs 2 rfft + 2 irfft calls whatever the component
-count (the frozen step 1 + 1), plus the one forcing at the initial state.
+The state is carried in mode space.  `Stepper.step` maps the half spectra
+(uh, vh) plus the half spectra fh of the forcing at the physical u
+(`Stepper.forcing`) to the new (uh, vh) and the new physical u, writing into
+the stepper's buffers.  `evolve` then evaluates the forcing at the new u,
+after the step's finiteness checks, and carries it into the next step; that
+is the same arithmetic as evaluating it at the start of the next step.
+Every transform is one batched scipy call over the components, so a
+symmetric step costs 2 rfft + 2 irfft calls whatever the component count
+(the frozen step 1 + 1), plus the one forcing at the initial state.
 Samples read what `evolve` carries: the report and the monitor get the half
 spectra, the physical u and the log-normalizers of the carried forcing, so
 a sample makes no transform and no log-sum-exp for a measure the forcing
 exponentiated.  The physical v is made, by one irfft call, only at
-checkpoint steps and for the final state.  `_step_arrays` (physical in and
-out) is `_step` between forward transforms of u and v plus the forcing at u,
-and an inverse transform of the new v; `duhamel_step` calls it, and so does
-`linear_flow`, as one frozen step with zero forcing.
+checkpoint steps and for the final state.  `Stepper.advance` (physical in
+and out) is `step` between forward transforms of u and v plus the forcing
+at u, and an inverse transform of the new v; `duhamel_step` is one
+`advance`, and so is `linear_flow`, as one frozen step with zero forcing.
 
 Checkpoint steps are canonical: at every step whose global index is a
 multiple of `snapshot_every`, `evolve` hands the physical state to
 `on_checkpoint` and then replaces the carried spectra by the transforms of
 that u and v, and the step's sample reads those; the carried forcing is a
 function of u alone.  So a run resumed from that state (with the same
-checkpoint cadence) repeats the uninterrupted run bit for bit.  `evolve` keeps no checkpoint itself: the callback gets the live
-state, which a caller that keeps it clones, so a run's memory does not grow
-with its number of checkpoints.  Samples leave the same way, through
-`on_sample`, as they are taken.
+checkpoint cadence) repeats the uninterrupted run bit for bit.  `evolve`
+keeps no checkpoint itself: the callback gets the live state, which a
+caller that keeps it clones, so a run's memory does not grow with its
+number of checkpoints.  Samples leave the same way, through `on_sample`, as
+they are taken.
 """
 
 from __future__ import annotations
@@ -66,13 +68,15 @@ from .functionals import evaluate_report
 from .rhs import CouplingConfig, DynamicRangeError, rhs_fields
 from .surface import SpectralGrid
 
+SCHEMES = ("frozen", "symmetric")
+
 
 @dataclass
 class StepperConfig:
     """Fixed-step time integration parameters and hard stop thresholds."""
 
     h: float
-    scheme: str = "symmetric"  # "symmetric" (second order) or "frozen" (first)
+    scheme: str = "symmetric"  # of SCHEMES: "symmetric" (second order) or "frozen" (first)
     dealias: bool = True
     max_abs_u: float = 200.0
     max_grad_l2: float = 1e6
@@ -82,7 +86,7 @@ class StepperConfig:
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError("step size must be positive")
-        if self.scheme not in ("frozen", "symmetric"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (self.max_abs_u > 0 and self.max_grad_l2 > 0 and self.max_steps > 0):
             raise ValueError("stop thresholds must be positive")
@@ -91,13 +95,15 @@ class StepperConfig:
 
 
 def _mode_factors(grid: SpectralGrid, t: float):
-    """Per-mode factors of the time-t free flow on the full FFT layout.
+    """Per-mode factors of the time-t free flow on the n2//2+1 columns of the
+    half (rfft) spectrum of a real field.
 
     Returns (cos(t w), sin(t w)/w, (1 - cos(t w))/w^2, w sin(t w)) with the
-    limits t and t^2/2 at w = 0 (the third via the half-angle form).  This
-    is the one place the propagator's trigonometric factors are built.
+    limits t and t^2/2 at w = 0 (the third via the half-angle form), in the
+    argument order of the combine kernel.  This is the one place the
+    propagator's trigonometric factors are built.
     """
-    lam = grid.lap_symbol
+    lam = np.ascontiguousarray(grid.lap_symbol[:, : grid.n2 // 2 + 1])
     om = np.sqrt(lam)
     th = t * om
     cosw = np.cos(th)
@@ -107,83 +113,85 @@ def _mode_factors(grid: SpectralGrid, t: float):
     return cosw, sincw, qw, wsinw
 
 
-class StepTables:
-    """Per-mode factors of the time-h propagator (see `_mode_factors`),
-    restricted to the n2//2+1 columns of the half (rfft) spectrum of a real
-    field."""
+class Stepper:
+    """The time-h step of the forced wave equation on the stacked half spectra
+    of all components, for the forcing `rhs_eval` (stacked physical
+    components to stacked forcing fields) and a scheme of `SCHEMES`.
 
-    def __init__(self, grid: SpectralGrid, h: float):
+    `factors` are the time-h `_mode_factors` and `mask` the forcing's
+    dealias mask on the half columns (`grid.dealias_half_mask`, None when
+    `dealias` is off).  The step's buffers are allocated on its first call,
+    and again when the shape of the stepped spectra changes."""
+
+    def __init__(self, grid: SpectralGrid, h: float, rhs_eval: Callable,
+                 scheme: str = "symmetric", dealias: bool = True):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
         self.grid = grid
-        self.h = float(h)
-        ncol = grid.n2 // 2 + 1
-        # (cos, sinc, q, wsin), in the argument order of the combine kernel
-        self.factors = tuple(np.ascontiguousarray(f[:, :ncol]) for f in _mode_factors(grid, self.h))
+        self.rhs_eval = rhs_eval
+        self.scheme = scheme
+        self.factors = _mode_factors(grid, float(h))
+        self.mask = grid.dealias_half_mask if dealias else None
+        self._buffers = None
 
+    def forcing_half(self, f):
+        """Half spectra of the stacked forcing fields f, masked and with the
+        zero mode removed, which makes the component averages evolve
+        exactly as ubar + t*vbar."""
+        fh = self.grid.to_spectral_half_stack(f)
+        if self.mask is not None:
+            fh *= self.mask
+        fh[:, 0, 0] = 0.0
+        return fh
 
-def _forcing_half(grid, f, mask):
-    """Half spectra of the stacked forcing fields f, dealiased by `mask` (the
-    half-spectrum columns of a mask, e.g. `grid.dealias_half_mask`, or
-    None) and with the zero mode removed, which makes the component averages
-    evolve exactly as ubar + t*vbar."""
-    fh = grid.to_spectral_half_stack(f)
-    if mask is not None:
-        fh *= mask
-    fh[:, 0, 0] = 0.0
-    return fh
+    def forcing(self, u):
+        """`forcing_half` of the forcing at the stacked physical u."""
+        return self.forcing_half(self.rhs_eval(u))
 
+    def step(self, uh, vh, fh):
+        """One step of the state carried in mode space: the half spectra
+        (uh, vh) and fh, the forcing at u (`forcing`).  Returns the new
+        (uh, vh, u) with u the physical image of the new uh, on which the
+        caller evaluates the next forcing.
 
-class _StepBuffers:
-    """Preallocated half spectra of a run of steps: the pair (uh, vh) the next
-    step writes and the symmetric predictor's position, which is also the
-    scratch of the step's last combine."""
+        The new spectra are written into the stepper's buffers, which then
+        keep the (uh, vh) read here for the next step to overwrite: the
+        caller gives up its inputs, and may interleave orbits through one
+        stepper.
 
-    def __init__(self, uh):
-        self.uh, self.vh, self.pred = (np.empty_like(uh) for _ in range(3))
+        One combine call updates every component.  The symmetric step takes
+        a frozen predictor for the position, evaluates the forcing there
+        (one rfft, after one irfft) and steps with the average of the two
+        forcings; with the forcing at the new u, evaluated by the caller,
+        that is 2 + 2 batched transforms per step, 1 + 1 for the frozen
+        one."""
+        if self._buffers is None or self._buffers[0].shape != uh.shape:
+            self._buffers = tuple(np.empty_like(uh) for _ in range(3))
+        uh_new, vh_new, pred = self._buffers
+        if self.scheme == "symmetric":
+            # the velocity buffer is free until the last combine: its scratch here
+            kernels.gautschi_combine(*self.factors, uh, vh, fh, pred, tmp=vh_new)
+            f1h = self.forcing(self.grid.to_physical_half_stack(pred))
+            f1h += fh
+            f1h *= 0.5
+            fh = f1h
+        kernels.gautschi_combine(*self.factors, uh, vh, fh, uh_new, vh_new, tmp=pred)
+        self._buffers = (uh, vh, pred)
+        return uh_new, vh_new, self.grid.to_physical_half_stack(uh_new)
 
-
-def _step(grid, uh, vh, fh, tables, rhs_eval, scheme, mask, buffers):
-    """One step of the state carried in mode space: the half spectra (uh, vh)
-    of the stacked components and fh, the masked half spectra of the
-    forcing at u (`_forcing_half`).  Returns the new (uh, vh, u) with u the
-    physical image of the new uh, on which the caller evaluates the next
-    forcing.  The new spectra are written into `buffers`, which then keep
-    the (uh, vh) read here for the next step to overwrite: the caller must
-    hold no other reference to them.
-
-    One combine call updates every component.  The symmetric step takes a
-    frozen predictor for the position, evaluates the forcing there (one
-    rfft, after one irfft) and steps with the average of the two forcings;
-    with the forcing at the new u, evaluated by the caller, that is 2 + 2
-    batched transforms per step, 1 + 1 for the frozen one."""
-    if scheme == "symmetric":
-        # the velocity buffer is free until the last combine: its scratch here
-        kernels.gautschi_combine(*tables.factors, uh, vh, fh, buffers.pred, tmp=buffers.vh)
-        f1h = _forcing_half(grid, rhs_eval(grid.to_physical_half_stack(buffers.pred)), mask)
-        f1h += fh
-        f1h *= 0.5
-        fh = f1h
-    uh_new, vh_new = buffers.uh, buffers.vh
-    kernels.gautschi_combine(*tables.factors, uh, vh, fh, uh_new, vh_new, tmp=buffers.pred)
-    buffers.uh, buffers.vh = uh, vh
-    return uh_new, vh_new, grid.to_physical_half_stack(uh_new)
-
-
-def _step_arrays(grid, u, v, tables, rhs_eval, scheme, mask):
-    """One step on stacked physical arrays; returns new (u, v).  `mask` is a
-    dealias mask on the full layout (or None)."""
-    mask = None if mask is None else mask[:, : grid.n2 // 2 + 1]
-    uh, vh = grid.to_spectral_half_stack(u), grid.to_spectral_half_stack(v)
-    fh = _forcing_half(grid, rhs_eval(u), mask)
-    _, vh, u_new = _step(grid, uh, vh, fh, tables, rhs_eval, scheme, mask, _StepBuffers(uh))
-    return u_new, grid.to_physical_half_stack(vh)
+    def advance(self, u, v):
+        """One step on stacked physical arrays; returns the new (u, v)."""
+        g = self.grid
+        _, vh, u_new = self.step(g.to_spectral_half_stack(u), g.to_spectral_half_stack(v),
+                                 self.forcing(u))
+        return u_new, g.to_physical_half_stack(vh)
 
 
 def linear_flow(state: WaveState, t: float) -> WaveState:
     """Exact free flow by time t (any sign): one frozen step of size t with
     zero forcing."""
-    g = state.grid
-    u, v = _step_arrays(g, state.u, state.v, StepTables(g, t), np.zeros_like, "frozen", None)
-    return WaveState(g, state.t + t, u, v)
+    u, v = Stepper(state.grid, t, np.zeros_like, "frozen", dealias=False).advance(state.u, state.v)
+    return WaveState(state.grid, state.t + t, u, v)
 
 
 def duhamel_step(state: WaveState, h: float, rhs_eval: Callable, scheme: str = "symmetric",
@@ -191,11 +199,8 @@ def duhamel_step(state: WaveState, h: float, rhs_eval: Callable, scheme: str = "
     """Single step of size h (sign free; the trigonometric factors give the
     exact backward free flow for h < 0).  `rhs_eval` maps stacked physical
     components to the forcing fields."""
-    g = state.grid
-    tables = StepTables(g, h)
-    mask = g.dealias_mask if dealias else None
-    u_new, v_new = _step_arrays(g, state.u, state.v, tables, rhs_eval, scheme, mask)
-    return WaveState(g, state.t + h, u_new, v_new)
+    u, v = Stepper(state.grid, h, rhs_eval, scheme, dealias).advance(state.u, state.v)
+    return WaveState(state.grid, state.t + h, u, v)
 
 
 def evolve(
@@ -225,9 +230,7 @@ def evolve(
     g = state.grid
     if T < state.t:
         raise ValueError("target time precedes the state's time")
-    tables = StepTables(g, stepper.h)
-    mask = g.dealias_half_mask if stepper.dealias else None
-    rhs_eval = lambda u: rhs_fields(g, u, cfg)
+    step = Stepper(g, stepper.h, lambda u: rhs_fields(g, u, cfg), stepper.scheme, stepper.dealias)
     t0 = state.t if t_origin is None else float(t_origin)
     n_steps = int(round((T - state.t) / stepper.h))
     capped = n_steps > stepper.max_steps
@@ -239,13 +242,12 @@ def evolve(
         spectra and its measures' log-normalizers, which the sample of u
         reads.  It depends on the physical u only."""
         f, logz = rhs_fields(g, u, cfg, return_log_normalizers=True)
-        return _forcing_half(g, f, mask), logz
+        return step.forcing_half(f), logz
 
     traj = Trajectory()
     u, v = state.u.copy(), state.v.copy()
     uh, vh = g.to_spectral_half_stack(u), g.to_spectral_half_stack(v)
     fh, logz = forcing(u)
-    buffers = _StepBuffers(uh)
     t = state.t
 
     def current_state():
@@ -289,7 +291,7 @@ def evolve(
     status = STATUS_COMPLETED
     for k in range(1, n_steps + 1):
         try:
-            uh, vh, u = _step(g, uh, vh, fh, tables, rhs_eval, stepper.scheme, mask, buffers)
+            uh, vh, u = step.step(uh, vh, fh)
         except DynamicRangeError:
             status = STATUS_NONFINITE
             stop("non_finite", np.nan)

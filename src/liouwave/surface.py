@@ -118,24 +118,18 @@ class SpectralGrid:
         """Inverse FFT; returns the real part (fields are real-valued)."""
         return scipy.fft.ifft2(modes, workers=_workers()).real
 
-    # Half-spectrum pair used by the stepping hot path (real fields carry a
+    # Half-spectrum pair of the stepping hot path (real fields carry a
     # Hermitian-redundant spectrum; rfft keeps the n2//2+1 unique columns).
 
-    def to_spectral_half(self, values: np.ndarray) -> np.ndarray:
-        return scipy.fft.rfft2(values, workers=_workers())
-
-    def to_physical_half(self, modes: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfft2(modes, s=(self.n1, self.n2), workers=_workers())
-
     def to_spectral_half_stack(self, fields: np.ndarray) -> np.ndarray:
-        """Half spectra of stacked real fields (ncomp, n1, n2), in one batched
-        rfft over the last two axes (the same bits as one call per
-        component)."""
+        """Half spectra of a real field or of stacked real fields
+        (..., n1, n2), in one batched rfft over the last two axes (the same
+        bits as one call per component)."""
         return scipy.fft.rfft2(fields, axes=(-2, -1), workers=_workers())
 
     def to_physical_half_stack(self, modes: np.ndarray) -> np.ndarray:
-        """Stacked real fields of stacked half spectra, in one batched
-        irfft."""
+        """The real field(s) of half spectra (..., n1, n2//2+1), in one
+        batched irfft."""
         return scipy.fft.irfft2(modes, s=(self.n1, self.n2), axes=(-2, -1), workers=_workers())
 
     # -- quadrature and norms ------------------------------------------------
@@ -156,7 +150,7 @@ class SpectralGrid:
         half spectrum: one product of its squared float view with
         `gram_gradient_weights`."""
         _require_finite(values)
-        x = self.to_spectral_half(values).view(np.float64)
+        x = self.to_spectral_half_stack(values).view(np.float64)
         s = float(np.square(x, out=x).ravel() @ self.gram_gradient_weights.ravel())
         return float(np.sqrt(self.area * s)) / (self.n1 * self.n2)
 

@@ -174,13 +174,12 @@ def test_criterion_5_picard_agreement():
 
     import liouwave.propagator as prop
 
-    tables = prop.StepTables(grid, h)
-    rhs_eval = lambda u: rhs_fields(grid, u, cfg)
+    step = prop.Stepper(grid, h, lambda u: rhs_fields(grid, u, cfg), "frozen")
     u, v = st.u.copy(), st.v.copy()
     sup = 0.0
     for k, s_k in enumerate(states):
         if k > 0:
-            u, v = prop._step_arrays(grid, u, v, tables, rhs_eval, "frozen", grid.dealias_mask)
+            u, v = step.advance(u, v)
         sup = max(sup, grid.norm_h1(s_k.u[0] - u[0]))
     r_full = first_contraction_ratio(st, cfg, T, steps=round(T / h))
     r_half = first_contraction_ratio(st, cfg, T / 2, steps=round(T / 2 / h))
@@ -335,14 +334,13 @@ def test_criterion_10_stability_and_gradient():
 
     import liouwave.propagator as prop
 
-    tables = prop.StepTables(grid, 1e-3)
-    rhs_eval = lambda u: rhs_fields(grid, u, cfg)
+    step = prop.Stepper(grid, 1e-3, lambda u: rhs_fields(grid, u, cfg), "symmetric")
     ua, va = st.u.copy(), st.v.copy()
     ub, vb = pert.u.copy(), pert.v.copy()
     sup = 0.0
     for k in range(1000):
-        ua, va = prop._step_arrays(grid, ua, va, tables, rhs_eval, "symmetric", grid.dealias_mask)
-        ub, vb = prop._step_arrays(grid, ub, vb, tables, rhs_eval, "symmetric", grid.dealias_mask)
+        ua, va = step.advance(ua, va)
+        ub, vb = step.advance(ub, vb)
         if (k + 1) % 50 == 0:
             sup = max(sup, grid.norm_h1(ub[0] - ua[0]))
     stability_ok = sup <= 100.0 * delta

@@ -76,10 +76,10 @@ def test_node_distance_matches_whole_path_formula(grid32, rng, ncomp):
     assert dist(au[0], av[0], au[0], av[0]) == 0.0
 
 
-def _frozen_loop(u0h, v0h, tables, m, forcing):
+def _frozen_loop(u0h, v0h, factors, m, forcing):
     # nodes 0..m of the frozen-forcing update, forcing(j) frozen over step j,
     # each step in numpy expressions
-    cos, sinc, q, wsin = tables.factors
+    cos, sinc, q, wsin = factors
     uh = np.empty((m + 1,) + u0h.shape, dtype=complex)
     vh = np.empty_like(uh)
     uh[0], vh[0] = u0h, v0h
@@ -93,14 +93,13 @@ def _frozen_loop(u0h, v0h, tables, m, forcing):
 def _iterate(grid, st, h, m, k):
     # the k-th Picard iterate from the free path on m steps of h, each
     # iterate by the frozen-forcing loop over the one before
-    tables = prop.StepTables(grid, h)
+    step = prop.Stepper(grid, h, lambda u: rhs_fields(grid, u, SG), "frozen")
     u0h, v0h = grid.to_spectral_half_stack(st.u), grid.to_spectral_half_stack(st.v)
-    path = _frozen_loop(u0h, v0h, tables, m, lambda j: np.zeros_like(u0h))
+    path = _frozen_loop(u0h, v0h, step.factors, m, lambda j: np.zeros_like(u0h))
     for _ in range(k):
         def forcing(j, prev=path):
-            u = grid.to_physical_half_stack(prev.uh[j])
-            return prop._forcing_half(grid, rhs_fields(grid, u, SG), grid.dealias_half_mask)
-        path = _frozen_loop(u0h, v0h, tables, m, forcing)
+            return step.forcing(grid.to_physical_half_stack(prev.uh[j]))
+        path = _frozen_loop(u0h, v0h, step.factors, m, forcing)
     return path
 
 
@@ -150,15 +149,12 @@ class TestPicardSolve:
         assert rep.final_distance <= 1e-10
         assert all(r < 1.0 for r in rep.contraction_ratios)
         # the fixed point is the frozen-scheme orbit on the same grid
-        tables = prop.StepTables(grid32, h)
-        rhs_eval = lambda u: rhs_fields(grid32, u, SG)
+        step = prop.Stepper(grid32, h, lambda u: rhs_fields(grid32, u, SG), "frozen")
         u, v = st.u.copy(), st.v.copy()
         sup = 0.0
         for k, s_k in enumerate(states):
             if k > 0:
-                u, v = prop._step_arrays(
-                    grid32, u, v, tables, rhs_eval, "frozen", grid32.dealias_mask
-                )
+                u, v = step.advance(u, v)
             sup = max(sup, grid32.norm_h1(s_k.u[0] - u[0]) + grid32.norm_l2(s_k.v[0] - v[0]))
         assert sup <= 1e-8
 
@@ -172,10 +168,14 @@ class TestPicardSolve:
             assert abs(grid32.mean(s.u[0]) - m0) <= 1e-12
 
     def test_divergence_reported(self, grid32):
-        # long horizon: the measured ratios exceed 1 and the solver gives up
+        # long horizon: three measured ratios >= 1 make the solver give up
+        # before the iteration cap
         st = small_state(grid32, 1.0)
-        states, rep = picard_solve(st, SG, 12.0, 0.25, tol=1e-12, max_iter=12)
+        states, rep = picard_solve(st, SG, 24.0, 0.5, tol=1e-12, max_iter=12)
         assert not rep.converged
+        assert rep.iterations < 12
+        assert len(rep.contraction_ratios) >= 3
+        assert all(r >= 1.0 for r in rep.contraction_ratios[-3:])
 
     def test_validates_arguments(self, grid32):
         st = small_state(grid32)

@@ -30,10 +30,10 @@ def eigenmode_state(grid, amp=1.0):
 
 
 class TestModeFactors:
-    # the time-t factors (cos, sinc, q, wsin) of `_mode_factors`, whose
-    # half-spectrum columns `StepTables.factors` holds
+    # the time-t factors (cos, sinc, q, wsin) of `_mode_factors`, on the
+    # (n1, n2//2+1) modes of the half spectrum
     def test_t_zero(self, grid32, rng):
-        modes = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        modes = rng.standard_normal((32, 17)) + 1j * rng.standard_normal((32, 17))
         cosw, sincw, _, _ = prop._mode_factors(grid32, 0.0)
         assert np.array_equal(modes * cosw, modes)
         assert np.abs(modes * sincw).max() == 0.0
@@ -41,13 +41,13 @@ class TestModeFactors:
     def test_unit_mode_half_period(self, grid32):
         modes = np.zeros((32, 17), dtype=complex)
         modes[1, 0] = 1.0  # lambda = 1
-        out = modes * prop.StepTables(grid32, np.pi).factors[0]
+        out = modes * prop._mode_factors(grid32, np.pi)[0]
         assert out[1, 0] == pytest.approx(-1.0, rel=1e-14)
 
     def test_zero_mode_sinc_limit(self, grid32):
         modes = np.zeros((32, 17), dtype=complex)
         modes[0, 0] = 1.0
-        out = modes * prop.StepTables(grid32, 3.0).factors[1]
+        out = modes * prop._mode_factors(grid32, 3.0)[1]
         assert out[0, 0] == pytest.approx(3.0, rel=1e-15)
 
 
@@ -107,6 +107,13 @@ class TestDuhamelStep:
         back = duhamel_step(there, -1e-3, rhs_eval, "symmetric")
         resid = grid64.norm_h1(back.u[0] - st.u[0]) + grid64.norm_l2(back.v[0] - st.v[0])
         assert resid < 1e-10
+
+    def test_unknown_scheme_rejected(self, grid32, rng):
+        # public input: a misspelt scheme must raise, not run one of SCHEMES
+        cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
+        st = wave_state_new(grid32, random_smooth_field(grid32, rng, 4, 1.0), np.zeros((32, 32)))
+        with pytest.raises(ValueError, match="unknown scheme"):
+            duhamel_step(st, 1e-2, make_rhs(grid32, cfg), "symetric")
 
     def test_symmetric_second_order_vs_oracle(self):
         from liouwave import make_torus_grid
@@ -339,7 +346,7 @@ class TestSpectralState:
         ids=["sinh128", "todaA2_64"],
     )
     def test_evolve_matches_physical_step_loop(self, n, cfg, scheme):
-        # evolve carries the half spectra across steps; _step_arrays goes
+        # evolve carries the half spectra across steps; Stepper.advance goes
         # through physical space every step: the two agree to round-off
         from liouwave import make_torus_grid
 
@@ -347,10 +354,10 @@ class TestSpectralState:
         st = acceptance_like_state(g, cfg.ncomp)
         h, n_steps = 1e-3, 200
         traj = evolve(st, n_steps * h, StepperConfig(h=h, scheme=scheme, sample_every=10**9), cfg)
-        tables = prop.StepTables(g, h)
+        step = prop.Stepper(g, h, make_rhs(g, cfg), scheme)
         u, v = st.u, st.v
         for _ in range(n_steps):
-            u, v = prop._step_arrays(g, u, v, tables, make_rhs(g, cfg), scheme, g.dealias_mask)
+            u, v = step.advance(u, v)
         assert traj.status == STATUS_COMPLETED
         assert np.abs(traj.final_state.u - u).max() <= 1e-12
         assert np.abs(traj.final_state.v - v).max() <= 1e-12
@@ -468,6 +475,58 @@ class TestSpectralState:
         ]
         carried = evolve(snap, 0.1, stepper, cfg, first_step_index=20, t_origin=0.0)
         assert not np.array_equal(carried.final_state.u, full.final_state.u)
+
+
+class TestStepperBuffers:
+    """A step writes into the buffers that keep the (uh, vh) the step before
+    read, which its caller gave up: orbits can interleave through one
+    Stepper."""
+
+    @pytest.mark.parametrize("scheme", prop.SCHEMES)
+    @pytest.mark.parametrize("ncomp", [1, 2])
+    def test_interleaved_orbits(self, grid32, scheme, ncomp):
+        if ncomp == 1:
+            cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
+        else:
+            cfg = CouplingConfig("toda", (3 * np.pi, 3 * np.pi), matrix=cartan_matrix("A", 2))
+        a = acceptance_like_state(grid32, ncomp)
+        b = wave_state_new(grid32, -0.5 * a.u, 2.0 * a.v)
+        h, n_steps = 1e-3, 20
+        rhs_eval = make_rhs(grid32, cfg)
+
+        # physical orbits: one shared stepper against one stepper per orbit
+        shared = prop.Stepper(grid32, h, rhs_eval, scheme)
+        own = [prop.Stepper(grid32, h, rhs_eval, scheme) for _ in range(2)]
+        mixed = alone = [(s.u, s.v) for s in (a, b)]
+        for _ in range(n_steps):
+            mixed = [shared.advance(u, v) for u, v in mixed]
+            alone = [step.advance(u, v) for step, (u, v) in zip(own, alone)]
+        for (u, v), (u1, v1) in zip(mixed, alone):
+            assert np.array_equal(u, u1) and np.array_equal(v, v1)
+
+        # carried spectra through one stepper against evolve on each orbit
+        shared = prop.Stepper(grid32, h, rhs_eval, scheme)
+        carried = [
+            (grid32.to_spectral_half_stack(s.u), grid32.to_spectral_half_stack(s.v), s.u)
+            for s in (a, b)
+        ]
+        for _ in range(n_steps):
+            carried = [shared.step(uh, vh, shared.forcing(u)) for uh, vh, u in carried]
+        for s, (_, vh, u) in zip((a, b), carried):
+            traj = evolve(s, n_steps * h, StepperConfig(h=h, scheme=scheme, sample_every=10**9), cfg)
+            assert traj.status == STATUS_COMPLETED
+            assert np.array_equal(traj.final_state.u, u)
+            assert np.array_equal(traj.final_state.v, grid32.to_physical_half_stack(vh))
+
+    def test_component_count_change(self, grid32):
+        # buffers sized for two components must not broadcast one into two
+        step = prop.Stepper(grid32, 1e-2, np.zeros_like, "frozen")
+        two, one = acceptance_like_state(grid32, 2), acceptance_like_state(grid32, 1)
+        step.advance(two.u, two.v)
+        u, v = step.advance(one.u, one.v)
+        assert u.shape == v.shape == one.u.shape
+        alone = prop.Stepper(grid32, 1e-2, np.zeros_like, "frozen").advance(one.u, one.v)
+        assert np.array_equal(u, alone[0]) and np.array_equal(v, alone[1])
 
 
 class TestStepperConfigValidation:
