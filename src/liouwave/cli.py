@@ -615,7 +615,7 @@ def _sup_h1_distance(grid, path, state0, cfg, h, dealias):
     transform of the forcing and one inverse transform of the new u), and
     each distance is the Picard solve's per-node H1 distance on the half
     spectra."""
-    step = propagator.Stepper(grid, h, lambda u: rhs.rhs_fields(grid, u, cfg), "frozen", dealias)
+    step = propagator.Stepper(grid, h, cfg, "frozen", dealias)
     u = state0.u
     uh, vh = grid.to_spectral_half_stack(u), grid.to_spectral_half_stack(state0.v)
     dist = picard._NodeDistance(grid, uh.shape)

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import WaveState
-from .rhs import CouplingConfig, rhs_fields
+from .rhs import CouplingConfig, rhs_scalar
 from .surface import SpectralGrid
 
 EIGHT_PI = 8.0 * np.pi
@@ -205,7 +205,7 @@ def grad_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray
             out[i] -= coeffs[i] * (dens - inv_area)
         return out
     uu = u[0] if u.ndim == 3 else u
-    return grid.minus_laplacian(uu) - rhs_fields(grid, uu[None, :, :], cfg)[0]
+    return grid.minus_laplacian(uu) - rhs_scalar(grid, uu, cfg)
 
 
 def mt_residual(grid: SpectralGrid, u: np.ndarray, flavor: str = "standard", **params) -> float:

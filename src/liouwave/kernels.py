@@ -3,10 +3,14 @@
 `gautschi_combine` is the per-mode trigonometric update of the stepper;
 `propagator.Stepper` (so `evolve`, `duhamel_step` and `linear_flow`) and the
 Picard map all run through it on the stacked half spectra of all components
-at once.  `exp_shifted_sum` is the shifted exponential behind every
-log-sum-exp integral.  Call sites look both up as module attributes at call
-time (``kernels.gautschi_combine``), never bind them at import or in a
-`Stepper`, so a wrapper installed on the module is seen everywhere.
+at once.  The free-flow part cos*uh + sinc*vh of the position can be left
+by one call and read by the next (`free_out`, `free`), so the symmetric
+step's predictor and final position share it.  `exp_shifted_sum` is the
+shifted exponential behind every log-sum-exp integral
+(`SpectralGrid.shifted_exp`), the rhs's included.  Call sites look both up
+as module attributes at call time (``kernels.gautschi_combine``), never bind
+them at import or in a `Stepper`, so a wrapper installed on the module is
+seen everywhere.
 """
 
 import numpy as np
@@ -14,32 +18,43 @@ import numpy as np
 backend = "python"
 
 
-def exp_shifted_sum(g, m, out):
-    """out[i,j] = exp(g[i,j] - m); returns the sum of out."""
-    np.subtract(g, m, out=out)
+def exp_shifted_sum(g, m, out, sign=1.0):
+    """out[i,j] = exp(sign*g[i,j] - m) for sign +1 or -1; returns the sum of
+    out.  With sign -1 the shifted exponent is formed as (-m) - g, which has
+    the bits of (-g) - m without a negated copy of g."""
+    if sign > 0:
+        np.subtract(g, m, out=out)
+    else:
+        np.subtract(-m, g, out=out)
     np.exp(out, out=out)
     return float(out.sum())
 
 
-def gautschi_combine(cosw, sincw, qw, wsinw, uh, vh, fh, uh_out, vh_out=None, tmp=None):
+def gautschi_combine(cosw, sincw, qw, wsinw, uh, vh, fh, uh_out, vh_out=None, tmp=None,
+                     free_out=None, free=None):
     """Per-mode update of the second-order oscillator with frozen forcing:
 
-        uh_out = cos*uh + sinc*vh + q*fh
+        uh_out = (cos*uh + sinc*vh) + q*fh
         vh_out = cos*vh - wsin*uh + sinc*fh
 
     The (n1, n2//2+1) factors broadcast over stacked (ncomp, n1, n2//2+1)
     spectra, so one call updates every component.  With `vh_out=None` the
     velocity line is skipped (the symmetric step's predictor needs only the
-    position).  Output buffers must not alias the inputs.  The sums run left
-    to right in the output buffers with one scratch array (`tmp`, allocated
-    when not given), which gives the same bits as the expressions above
-    without their temporaries.
+    position).  The bracket is the free flow of the position: `free_out`
+    receives it, and `free`, an array holding it for the same (uh, vh) (it
+    may be `uh_out` itself), saves recomputing it; the sum with q*fh is the
+    same either way.  Output buffers must not alias the inputs.  The sums
+    run left to right in the output buffers with one scratch array (`tmp`,
+    allocated when not given), which gives the same bits as the expressions
+    above without their temporaries.
     """
     if tmp is None:
         tmp = np.empty_like(uh_out)
-    np.multiply(cosw, uh, out=uh_out)
-    uh_out += np.multiply(sincw, vh, out=tmp)
-    uh_out += np.multiply(qw, fh, out=tmp)
+    if free is None:
+        free = uh_out if free_out is None else free_out
+        np.multiply(cosw, uh, out=free)
+        free += np.multiply(sincw, vh, out=tmp)
+    np.add(free, np.multiply(qw, fh, out=tmp), out=uh_out)
     if vh_out is not None:
         np.multiply(cosw, vh, out=vh_out)
         vh_out -= np.multiply(wsinw, uh, out=tmp)

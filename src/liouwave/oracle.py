@@ -23,6 +23,10 @@ def dense_evolve(state: WaveState, T: float, rhs_eval, substeps: int,
     """RK4 on d/dt (uh, vh) = (vh, -lam*uh + fft(rhs(u))) with `substeps`
     steps over [state.t, state.t + T].  Grid must be at most 16 x 16.
 
+    The forcing's zero mode is dropped, as the production stepper drops it:
+    the equation's forcing integrates to zero, and `rhs_fields` leaves a
+    constant per component for the integrator to remove.
+
     Set `dealias` to integrate the same forcing-projected system the
     production stepper integrates with its mask on."""
     g = state.grid
@@ -44,6 +48,7 @@ def dense_evolve(state: WaveState, T: float, rhs_eval, substeps: int,
         fh = scipy.fft.fft2(rhs_eval(u_phys), axes=axes)
         if mask is not None:
             fh *= mask
+        fh[:, 0, 0] = 0.0
         return vh_in, neg_lam * uh_in + fh
 
     dt = T / substeps

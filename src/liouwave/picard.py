@@ -41,7 +41,7 @@ import numpy as np
 from . import kernels
 from .fields import WaveState
 from .propagator import Stepper
-from .rhs import CouplingConfig, rhs_fields
+from .rhs import CouplingConfig
 
 # a first correction at most this large counts as vanishing: ratio 0
 _VANISHING = 1e-300
@@ -151,7 +151,7 @@ def _iterates(path: _Path, step: Stepper):
     while True:
         d = np.zeros(m + 1)  # node 0 is the initial data in every iterate
         for j in range(m):
-            fh = step.forcing(grid.to_physical_half_stack(path.uh[j]))
+            fh, _ = step.forcing(grid.to_physical_half_stack(path.uh[j]))
             if j > 0:
                 path.uh[j], path.vh[j] = node_uh, node_vh
             kernels.gautschi_combine(*step.factors, path.uh[j], path.vh[j], fh, node_uh, node_vh,
@@ -165,7 +165,7 @@ def _free_path_iterates(state, cfg, h, m, dealias):
     """The free path on m steps of h from the state's data, and its Picard
     iterates (`_iterates`), which overwrite it."""
     g = state.grid
-    step = Stepper(g, h, lambda u: rhs_fields(g, u, cfg), "frozen", dealias)
+    step = Stepper(g, h, cfg, "frozen", dealias)
     u0h, v0h = g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v)
     path = _free_path(u0h, v0h, step.factors, m)
     return path, _iterates(path, step)

@@ -11,15 +11,25 @@ obey exactly ubar+ = ubar + h*vbar with vbar constant.
 
 One object, `Stepper`, is behind every step.  It holds the time-h factors
 of `_mode_factors` (the one builder of the per-mode factors, on the half
-(rfft) columns), the forcing's dealias mask and the step's buffers, and
-`kernels.gautschi_combine` applies the update to the stacked half spectra
-of all components in one call.  `evolve`, `duhamel_step`, `linear_flow`
-and the Picard solution map all run through it.
+(rfft) columns), whether the forcing is dealiased, and the buffers of the
+step and of the forcing, and `kernels.gautschi_combine` applies the update
+to the stacked half spectra of all components in one call.  `evolve`,
+`duhamel_step`, `linear_flow`, the Picard solution map and picard-verify's
+orbit all run through it.
+
+The forcing has one path, `Stepper.forcing(u) -> (fh, logz)`.  For the
+equation's `CouplingConfig` it is `rhs_fields` writing into the stepper's
+physical buffer (one exponential pass and one scale per measure, no mean
+subtraction), then one batched rfft, the mask and the removal of the zero
+mode, which is the one place the forcing's constant is dropped; logz are
+the log-normalizers of its measures.  A plain callable forcing (the
+`rhs_eval` of `duhamel_step`) takes the same transform path, with logz None.
 
 The state is carried in mode space.  `Stepper.step` maps the half spectra
-(uh, vh) plus the half spectra fh of the forcing at the physical u
-(`Stepper.forcing`) to the new (uh, vh) and the new physical u, writing into
-the stepper's buffers.  `evolve` then evaluates the forcing at the new u,
+(uh, vh) plus the forcing at the physical u to the new (uh, vh) and the new
+physical u, writing into the stepper's buffers; a symmetric step computes
+the free flow cos*uh + sinc*vh of the position once, for its predictor and
+its final position.  `evolve` then evaluates the forcing at the new u,
 after the step's finiteness checks, and carries it into the next step; that
 is the same arithmetic as evaluating it at the start of the next step.
 Every transform is one batched scipy call over the components, so a
@@ -115,43 +125,53 @@ def _mode_factors(grid: SpectralGrid, t: float):
 
 class Stepper:
     """The time-h step of the forced wave equation on the stacked half spectra
-    of all components, for the forcing `rhs_eval` (stacked physical
-    components to stacked forcing fields) and a scheme of `SCHEMES`.
+    of all components, for a scheme of `SCHEMES`.
 
-    `factors` are the time-h `_mode_factors` and `mask` the forcing's
-    dealias mask on the half columns (`grid.dealias_half_mask`, None when
-    `dealias` is off).  The step's buffers are allocated on its first call,
-    and again when the shape of the stepped spectra changes."""
+    `rhs` is the forcing: the equation's `CouplingConfig`, whose forcing
+    `rhs_fields` writes into a buffer the stepper keeps, with the
+    log-normalizers of its measures; or any map of stacked physical
+    components to forcing fields (log-normalizers None), as `duhamel_step`
+    and `linear_flow` take.  `factors` are the time-h `_mode_factors`;
+    `dealias` applies the two-thirds mask to the forcing
+    (`grid.dealias_half`).  The buffers are allocated on first use, and
+    again when the shape of what they hold changes."""
 
-    def __init__(self, grid: SpectralGrid, h: float, rhs_eval: Callable,
-                 scheme: str = "symmetric", dealias: bool = True):
+    def __init__(self, grid: SpectralGrid, h: float, rhs, scheme: str = "symmetric",
+                 dealias: bool = True):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
         self.grid = grid
-        self.rhs_eval = rhs_eval
+        self.rhs = rhs
         self.scheme = scheme
         self.factors = _mode_factors(grid, float(h))
-        self.mask = grid.dealias_half_mask if dealias else None
+        self.dealias = dealias
         self._buffers = None
-
-    def forcing_half(self, f):
-        """Half spectra of the stacked forcing fields f, masked and with the
-        zero mode removed, which makes the component averages evolve
-        exactly as ubar + t*vbar."""
-        fh = self.grid.to_spectral_half_stack(f)
-        if self.mask is not None:
-            fh *= self.mask
-        fh[:, 0, 0] = 0.0
-        return fh
+        self._physical = None
 
     def forcing(self, u):
-        """`forcing_half` of the forcing at the stacked physical u."""
-        return self.forcing_half(self.rhs_eval(u))
+        """The forcing at the stacked physical u as the step takes it:
+        (fh, logz), fh its half spectra, masked and with the zero mode
+        removed, which makes the component averages evolve exactly as
+        ubar + t*vbar (so the forcing's own constant never matters), and
+        logz the log-normalizers of its measures (None for a callable
+        `rhs`).  Raises `DynamicRangeError` where `rhs_fields` does."""
+        if isinstance(self.rhs, CouplingConfig):
+            if self._physical is None or self._physical.shape[1:] != u.shape:
+                self._physical = np.empty((2,) + u.shape)
+            f, logz = rhs_fields(self.grid, u, self.rhs, return_log_normalizers=True,
+                                 out=self._physical[0], work=self._physical[1])
+        else:
+            f, logz = self.rhs(u), None
+        fh = self.grid.to_spectral_half_stack(f)
+        if self.dealias:
+            self.grid.dealias_half(fh)
+        fh[:, 0, 0] = 0.0
+        return fh, logz
 
-    def step(self, uh, vh, fh):
+    def step(self, uh, vh, forcing):
         """One step of the state carried in mode space: the half spectra
-        (uh, vh) and fh, the forcing at u (`forcing`).  Returns the new
-        (uh, vh, u) with u the physical image of the new uh, on which the
+        (uh, vh) and the forcing at u as `forcing` returns it.  Returns the
+        new (uh, vh, u) with u the physical image of the new uh, on which the
         caller evaluates the next forcing.
 
         The new spectra are written into the stepper's buffers, which then
@@ -162,20 +182,23 @@ class Stepper:
         One combine call updates every component.  The symmetric step takes
         a frozen predictor for the position, evaluates the forcing there
         (one rfft, after one irfft) and steps with the average of the two
-        forcings; with the forcing at the new u, evaluated by the caller,
-        that is 2 + 2 batched transforms per step, 1 + 1 for the frozen
-        one."""
+        forcings; the predictor leaves the free flow cos*uh + sinc*vh of the
+        position in the new position's buffer, and the final combine adds
+        to it.  With the forcing at the new u, evaluated by the caller, that
+        is 2 + 2 batched transforms per step, 1 + 1 for the frozen one."""
         if self._buffers is None or self._buffers[0].shape != uh.shape:
             self._buffers = tuple(np.empty_like(uh) for _ in range(3))
         uh_new, vh_new, pred = self._buffers
+        fh, free = forcing[0], None
         if self.scheme == "symmetric":
             # the velocity buffer is free until the last combine: its scratch here
-            kernels.gautschi_combine(*self.factors, uh, vh, fh, pred, tmp=vh_new)
-            f1h = self.forcing(self.grid.to_physical_half_stack(pred))
+            kernels.gautschi_combine(*self.factors, uh, vh, fh, pred, tmp=vh_new,
+                                     free_out=uh_new)
+            f1h, _ = self.forcing(self.grid.to_physical_half_stack(pred))
             f1h += fh
             f1h *= 0.5
-            fh = f1h
-        kernels.gautschi_combine(*self.factors, uh, vh, fh, uh_new, vh_new, tmp=pred)
+            fh, free = f1h, uh_new
+        kernels.gautschi_combine(*self.factors, uh, vh, fh, uh_new, vh_new, tmp=pred, free=free)
         self._buffers = (uh, vh, pred)
         return uh_new, vh_new, self.grid.to_physical_half_stack(uh_new)
 
@@ -230,24 +253,20 @@ def evolve(
     g = state.grid
     if T < state.t:
         raise ValueError("target time precedes the state's time")
-    step = Stepper(g, stepper.h, lambda u: rhs_fields(g, u, cfg), stepper.scheme, stepper.dealias)
+    step = Stepper(g, stepper.h, cfg, stepper.scheme, stepper.dealias)
     t0 = state.t if t_origin is None else float(t_origin)
     n_steps = int(round((T - state.t) / stepper.h))
     capped = n_steps > stepper.max_steps
     if capped:
         n_steps = stepper.max_steps
 
-    def forcing(u):
-        """The forcing at u, carried into the next step: its masked half
-        spectra and its measures' log-normalizers, which the sample of u
-        reads.  It depends on the physical u only."""
-        f, logz = rhs_fields(g, u, cfg, return_log_normalizers=True)
-        return step.forcing_half(f), logz
-
     traj = Trajectory()
     u, v = state.u.copy(), state.v.copy()
     uh, vh = g.to_spectral_half_stack(u), g.to_spectral_half_stack(v)
-    fh, logz = forcing(u)
+    # the forcing at u, carried into the next step: its half spectra and its
+    # measures' log-normalizers, which the sample of u reads; it depends on
+    # the physical u only
+    forcing = step.forcing(u)
     t = state.t
 
     def current_state():
@@ -267,7 +286,7 @@ def evolve(
         and the carried forcing's log-normalizers, so a sample makes no
         transform (state.v may be stale, None)."""
         state_t = WaveState(g, t, u, v)
-        report = evaluate_report(state_t, cfg, spectra=(uh, vh), log_normalizers=logz)
+        report = evaluate_report(state_t, cfg, spectra=(uh, vh), log_normalizers=forcing[1])
         traj.times.append(t)
         traj.reports.append(report)
         if on_sample is not None:
@@ -291,7 +310,7 @@ def evolve(
     status = STATUS_COMPLETED
     for k in range(1, n_steps + 1):
         try:
-            uh, vh, u = step.step(uh, vh, fh)
+            uh, vh, u = step.step(uh, vh, forcing)
         except DynamicRangeError:
             status = STATUS_NONFINITE
             stop("non_finite", np.nan)
@@ -303,7 +322,7 @@ def evolve(
         finite = bool(np.isfinite(max_u) and np.isfinite(vh.view(np.float64)).all())
         if finite:
             try:
-                fh, logz = forcing(u)
+                forcing = step.forcing(u)
             except DynamicRangeError:
                 finite = False
         if not finite:

@@ -1,16 +1,23 @@
 """Right-hand sides of the wave equations, for every equation family.
 
 All families share the structure "coupling * (normalized exponential measure
-minus the uniform density)", which integrates to zero; outputs get their
-discrete mean subtracted so the zero-mean structure holds to round-off and
-the component averages are conserved exactly by the propagator.
+minus the uniform density)", which integrates to zero.  The public
+`rhs_scalar` and `rhs_toda` subtract their discrete mean, so the zero-mean
+structure holds to round-off.  `rhs_fields`, the forcing the propagator
+steps with, leaves out both the constant -rho/|M| offsets and the mean
+subtraction: the stepper removes the forcing's zero mode itself
+(`propagator.Stepper.forcing`), which conserves the component averages
+exactly.
 
-Each measure takes one exponential pass (`SpectralGrid.normalized_exp`),
+Each measure takes one exponential pass (`SpectralGrid.shifted_exp`),
 whose max is also the finiteness check: a NaN or +inf exponent raises
-`DynamicRangeError`.  The pass also yields the measure's log-normalizer,
-which `rhs_fields` hands back on request, so a sample of the same state
-reads its log-integrals without exponentiating again.  Toda components are
-combined by one coupling-matrix product.
+`DynamicRangeError`.  Its normalizer 1/Z and its rho fold into one scale of
+the exponential, with no density array of its own; the pass also yields the
+measure's log-normalizer, which `rhs_fields` hands back on request, so a
+sample of the same state reads its log-integrals without exponentiating
+again.  Toda components are combined by one coupling-matrix product.  The
+stepper hands `rhs_fields` buffers it keeps, so its forcing allocates no
+grid-sized array.
 """
 
 from __future__ import annotations
@@ -226,59 +233,78 @@ class CouplingConfig:
         return self.rho[0], self.rho[1]
 
 
-def _measure_density(grid, values, sign, log_weight):
-    """Normalized density of w * e^{sign*values} (w = e^{log_weight}) and its
-    log-normalizer log int w e^{sign*values}, from one exponential pass;
-    rejects states whose exponent is out of range."""
+def _exp_measure(grid, x, sign, log_weight, out):
+    """Writes e^{g - m} of the measure w e^{sign*x} into `out` by one
+    exponential pass (`SpectralGrid.shifted_exp`), g its exponent and
+    m = max g.  Returns (z, log Z): z = the integral of out, so out/z is the
+    measure's density, and log Z = m + log z its log-normalizer.  Rejects
+    states whose exponent is out of range."""
     try:
-        return grid.normalized_exp(values, sign, log_weight=log_weight)
+        _, m, s = grid.shifted_exp(x, sign, log_weight, out)
     except ValueError as exc:
         raise DynamicRangeError("state out of dynamic range") from exc
+    z = grid.cell_area * s
+    return z, m + float(np.log(z))
 
 
-def _rhs_scalar(grid, u, cfg):
-    """(forcing, log-normalizers of the two measures, None where rho = 0)."""
+def _scalar_forcing(grid, u, cfg, out, work):
+    """Writes rho1 h1 e^u / Z1 - rho2 h2 e^{-a u} / Z2 of the one component
+    u into `out`, each measure's exponential scaled by one factor rho / z,
+    with `work` holding the second; returns the log-normalizers of the two
+    measures (None where rho = 0, which the forcing does not evaluate)."""
     if cfg.family == "toda":
         raise ValueError("use rhs_toda for toda configurations")
     rho1, rho2 = cfg.rho_pair()
     logz = [None, None]
-    out = None
-    # the -1/|M| offsets are constants, so they drop out under the final
-    # mean subtraction
+    if rho1 == 0.0 and rho2 == 0.0:
+        out.fill(0.0)
+        return logz
     if rho1 != 0.0:
-        out, logz[0] = _measure_density(grid, u, 1, cfg.log_weight(0))
-        out *= rho1
+        z, logz[0] = _exp_measure(grid, u, 1, cfg.log_weight(0), out)
+        out *= rho1 / z
     if rho2 != 0.0:
-        dens, logz[1] = _measure_density(grid, u if cfg.a == 1.0 else cfg.a * u, -1,
-                                         cfg.log_weight(1))
-        dens *= -rho2
-        if out is None:
-            out = dens
-        else:
+        dens = out if rho1 == 0.0 else work
+        x = u if cfg.a == 1.0 else np.multiply(u, cfg.a, out=dens)
+        z, logz[1] = _exp_measure(grid, x, -1, cfg.log_weight(1), dens)
+        dens *= -rho2 / z
+        if dens is not out:
             out += dens
-    if out is None:
-        return np.zeros_like(u), logz
-    out -= out.mean()
-    return out, logz
+    return logz
 
 
-def _rhs_toda(grid, u, cfg):
-    """(forcing, log-normalizer of each component's measure)."""
+def _toda_forcing(grid, u, cfg, out, work):
+    """Writes sum_j a_ij rho_j e^{u_j} / Z_j into component i of `out`, from
+    the exponentials of every component in `work`, by one product with the
+    coupling matrix whose columns carry the scales rho_j / z_j; returns the
+    log-normalizer of each component's measure."""
     if cfg.family != "toda":
         raise ValueError("rhs_toda requires a toda configuration")
     n = cfg.matrix.n
     if u.shape[0] != n:
         raise ValueError(f"expected {n} components, got {u.shape[0]}")
-    dens = np.empty((n, u[0].size))
+    z = np.empty(n)
     logz = [None] * n
     for j in range(n):
-        d, logz[j] = _measure_density(grid, u[j], 1, cfg.log_weight(j))
-        dens[j] = d.ravel()
-    # the -1/|M| offsets drop out under the mean subtraction, as above
-    coeff = cfg.matrix.entries * np.asarray(cfg.rho)[None, :]
-    out = coeff @ dens
-    out -= out.mean(axis=1, keepdims=True)
-    return out.reshape(u.shape), logz
+        z[j], logz[j] = _exp_measure(grid, u[j], 1, cfg.log_weight(j), work[j])
+    coeff = cfg.matrix.entries * (np.asarray(cfg.rho) / z)[None, :]
+    np.matmul(coeff, work.reshape(n, -1), out=out.reshape(n, -1))
+    return logz
+
+
+def _buffer(buf, shape):
+    """`buf` checked to be a C-contiguous float array of `shape` (its
+    reshapes must be views), or a fresh one when None."""
+    if buf is None:
+        return np.empty(shape)
+    if buf.shape != shape or buf.dtype != np.float64 or not buf.flags.c_contiguous:
+        raise ValueError(f"forcing buffers must be C-contiguous float arrays of shape {shape}")
+    return buf
+
+
+def _zero_mean(f):
+    """f minus the discrete mean of each component (the last two axes)."""
+    f -= f.mean(axis=(-2, -1), keepdims=True)
+    return f
 
 
 def rhs_scalar(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
@@ -288,18 +314,33 @@ def rhs_scalar(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.nda
 
     The output mean is subtracted, so the result integrates to zero exactly.
     """
-    return _rhs_scalar(grid, u, cfg)[0]
+    u = np.asarray(u, dtype=np.float64)
+    out = np.empty(u.shape)
+    _scalar_forcing(grid, u, cfg, out, np.empty(u.shape))
+    return _zero_mean(out)
 
 
 def rhs_toda(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
     """Forcing of the coupled system: component i gets
     sum_j a_ij rho_j (e^{u_j} / int(e^{u_j}) - 1/|M|), mean-subtracted."""
-    return _rhs_toda(grid, u, cfg)[0]
+    u = np.asarray(u, dtype=np.float64)
+    out = np.empty(u.shape)
+    _toda_forcing(grid, u, cfg, out, np.empty(u.shape))
+    return _zero_mean(out)
 
 
 def rhs_fields(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig,
-               return_log_normalizers: bool = False):
-    """Family dispatch on stacked (ncomp, n1, n2) input.
+               return_log_normalizers: bool = False, out=None, work=None):
+    """The forcing of stacked (ncomp, n1, n2) input, up to one constant per
+    component: it leaves out the -rho/|M| offsets and keeps its discrete
+    mean, because the integrators drop the forcing's zero mode
+    (`propagator.Stepper.forcing`, `oracle.dense_evolve`).  `rhs_scalar` and
+    `rhs_toda` give the zero-mean forcing.
+
+    Each measure takes one exponential pass and one scale.  `out` receives
+    the forcing and `work` holds the measures' exponentials: C-contiguous
+    float arrays of shape (ncomp, n1, n2), fresh when None, so a caller that
+    keeps them (the stepper) makes no grid-sized array per call.
 
     With `return_log_normalizers`, returns (forcing, logz): logz[i] is the
     log-normalizer log int w e^{sign*scale*u_c} of measure i of
@@ -308,9 +349,11 @@ def rhs_fields(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig,
     The report reads a measure's centred log-integral off it as
     logz[i] - sign*scale*ubar_c.
     """
+    u = np.asarray(u, dtype=np.float64)
+    shape = (cfg.ncomp,) + u.shape[-2:]
+    out, work = _buffer(out, shape), _buffer(work, shape)
     if cfg.family == "toda":
-        out, logz = _rhs_toda(grid, u, cfg)
+        logz = _toda_forcing(grid, u, cfg, out, work)
     else:
-        out, logz = _rhs_scalar(grid, u[0], cfg)
-        out = out[None, :, :]
+        logz = _scalar_forcing(grid, u[0], cfg, out[0], work[0])
     return (out, tuple(logz)) if return_log_normalizers else out

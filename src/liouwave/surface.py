@@ -8,11 +8,13 @@ exponential goes through a log-sum-exp path so that fields with values up to
 ~700 in magnitude never overflow.
 
 The stepping and sampling path uses the half (rfft) spectra of stacked
-components, each stack in one batched scipy call.  `normalized_exp` and
-`log_integral_exp` share one exponential pass (one max, which is also the
-finiteness check, one exp, one sum).  The H1 norms and `minus_laplacian`
-work on half spectra too; the full complex pair `to_spectral`/`to_physical`
-remains for seeded data, the self-check battery and the oracle.
+components, each stack in one batched scipy call.  Every integral of an
+exponential takes one exponential pass, `shifted_exp` (one max, which is
+also the finiteness check, one exp, one sum, into a buffer the caller may
+hold): `normalized_exp`, `log_integral_exp` and the rhs share it.  The H1
+norms and `minus_laplacian` work on half spectra too; the full complex pair
+`to_spectral`/`to_physical` remains for seeded data, the self-check battery
+and the oracle.
 """
 
 from __future__ import annotations
@@ -63,11 +65,11 @@ class SpectralGrid:
     """Uniform n1 x n2 sampling of the flat torus with periods (L1, L2).
 
     Carries the per-mode Laplacian symbol lam(k1,k2) = (2*pi*k1/L1)^2 +
-    (2*pi*k2/L2)^2 in FFT ordering, the two-thirds dealias mask (and its
-    half-spectrum columns as floats, the stepper's forcing mask), the
-    quadrature weight area/(n1*n2), and the Parseval weights of the half
-    (rfft) spectrum, per column and, for Gram products, per float of its
-    float view, plain and times the symbol.  All methods are pure; a
+    (2*pi*k2/L2)^2 in FFT ordering, the two-thirds dealias mask (which
+    `dealias_half` applies to half spectra in place, the stepper's forcing
+    mask), the quadrature weight area/(n1*n2), and the Parseval weights of
+    the half (rfft) spectrum, per column and, for Gram products, per float
+    of its float view, plain and times the symbol.  All methods are pure; a
     grid is safe to share between threads.
     """
 
@@ -92,7 +94,10 @@ class SpectralGrid:
             np.abs(self.k2[None, :]) <= n2 // 3
         )
         ncol = n2 // 2 + 1
-        self.dealias_half_mask = self.dealias_mask[:, :ncol].astype(float)
+        # on the half spectrum the mask drops one block of rows (|k1| > n1//3)
+        # and one block of columns (k2 > n2//3)
+        self._dropped_rows = slice(n1 // 3 + 1, n1 - n1 // 3)
+        self._dropped_columns = slice(n2 // 3 + 1, ncol)
 
         # Parseval on the half spectrum: columns k2 = 0 and k2 = n2/2 are
         # their own Hermitian mirror and count once, every other column twice
@@ -132,6 +137,14 @@ class SpectralGrid:
         batched irfft."""
         return scipy.fft.irfft2(modes, s=(self.n1, self.n2), axes=(-2, -1), workers=_workers())
 
+    def dealias_half(self, modes: np.ndarray) -> np.ndarray:
+        """Zero, in place, the modes of half spectra (..., n1, n2//2+1) that
+        `dealias_mask` drops, by writing its two blocks of dropped modes (no
+        pass over the kept ones, no temporary); returns `modes`."""
+        modes[..., self._dropped_rows, :] = 0.0
+        modes[..., self._dropped_columns] = 0.0
+        return modes
+
     # -- quadrature and norms ------------------------------------------------
 
     def integrate(self, values: np.ndarray) -> float:
@@ -167,21 +180,32 @@ class SpectralGrid:
 
     # -- stable exponentials --------------------------------------------------
 
-    def _exp_pass(self, values, sign, weight, log_weight):
-        """(e^(g - m), m, sum of e^(g - m)) for g = sign*f + log w and m = max g,
-        in one fresh array: one max, one exp pass, one sum.  The max is also
-        the finiteness check: a NaN or +inf in g makes it non-finite."""
+    def shifted_exp(self, values, sign: float = 1.0, log_weight=None, out=None):
+        """One exponential pass of the measure w*e^(sign*f), w = e^log_weight:
+        out = e^(g - m) for the exponent g = sign*f + log w and m = max g,
+        written into `out` (a float array of f's shape, fresh when None).
+
+        Returns (out, m, sum of out): one max (for an unweighted e^(-f), the
+        min of f, whose negation is m), which is also the finiteness check
+        (a NaN or +inf in g raises ValueError), one exp pass and one sum.
+        This is the pass behind `log_integral_exp`, `normalized_exp` and the
+        rhs."""
         _check_sign(sign)
         values = np.asarray(values, dtype=np.float64)
-        log_weight = _log_weight(weight, values.shape, log_weight)
-        out = np.empty(values.shape)
-        g = values if sign > 0 else np.negative(values, out=out)
+        if out is None:
+            out = np.empty(values.shape)
+        g = values
         if log_weight is not None:
-            g = np.add(g, log_weight, out=out)
-        m = float(g.max())
+            g = np.add(values, log_weight, out=out) if sign > 0 else np.subtract(
+                log_weight, values, out=out)
+            m, sign = float(g.max()), 1.0
+        elif sign > 0:
+            m = float(values.max())
+        else:
+            m = -float(values.min())
         if not math.isfinite(m):
             raise ValueError("exponent contains non-finite values")
-        return out, m, kernels.exp_shifted_sum(g, m, out)
+        return out, m, kernels.exp_shifted_sum(g, m, out, sign)
 
     def log_integral_exp(self, values, sign: float = 1.0, weight=None, log_weight=None) -> float:
         """log of integral of w * e^(sign*f), evaluated as a log-sum-exp.
@@ -191,7 +215,8 @@ class SpectralGrid:
         `CouplingConfig.log_weight`).  Safe for |f| up to ~700; raises
         ValueError when sign*f + log w has a NaN or +inf.
         """
-        _, m, s = self._exp_pass(values, sign, weight, log_weight)
+        log_weight = _log_weight(weight, np.shape(values), log_weight)
+        _, m, s = self.shifted_exp(values, sign, log_weight)
         return m + float(np.log(self.cell_area * s))
 
     def normalized_exp(self, values, sign: float = 1.0, weight=None, log_weight=None):
@@ -200,10 +225,10 @@ class SpectralGrid:
 
         Returns (density, log_normalizer), the log_normalizer being
         `log_integral_exp` of the same arguments; the density integrates to 1
-        up to round-off by construction.  This is the one exponential pass
-        of the rhs.
+        up to round-off by construction.
         """
-        out, m, s = self._exp_pass(values, sign, weight, log_weight)
+        log_weight = _log_weight(weight, np.shape(values), log_weight)
+        out, m, s = self.shifted_exp(values, sign, log_weight)
         z = self.cell_area * s
         out /= z
         return out, m + float(np.log(z))

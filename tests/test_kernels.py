@@ -41,3 +41,25 @@ def test_combine_without_velocity_gives_same_position(rng):
     up = np.empty_like(uh)
     kernels.gautschi_combine(c, s, q, w, uh, vh, fh, up)
     assert np.array_equal(up, uo)
+
+
+def test_shared_free_flow_gives_the_same_bits(rng):
+    # the symmetric step's predictor leaves cos*uh + sinc*vh in the new
+    # position's buffer, and the final combine adds to it
+    (c, s, q, w), (uh, vh, fh) = combine_inputs(rng)
+    f2 = np.ascontiguousarray(fh[::-1])
+    pred, uo, vo = (np.empty_like(uh) for _ in range(3))
+    kernels.gautschi_combine(c, s, q, w, uh, vh, fh, pred, free_out=uo)
+    assert np.array_equal(uo, c * uh + s * vh)
+    assert np.array_equal(pred, c * uh + s * vh + q * fh)
+    kernels.gautschi_combine(c, s, q, w, uh, vh, f2, uo, vo, tmp=pred, free=uo)
+    assert np.array_equal(uo, c * uh + s * vh + q * f2)
+    assert np.array_equal(vo, c * vh - w * uh + s * f2)
+
+
+def test_exp_shifted_sum_negative_sign(rng):
+    g = np.ascontiguousarray(2.0 * rng.standard_normal((32, 32)))
+    out = np.empty_like(g)
+    s = kernels.exp_shifted_sum(g, 1.3, out, -1.0)
+    assert np.array_equal(out, np.exp(-g - 1.3))
+    assert s == pytest.approx(out.sum(), rel=1e-15)

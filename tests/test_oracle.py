@@ -35,6 +35,19 @@ class TestDenseEvolve:
         assert np.abs(out.u).max() < 1e-14
         assert np.abs(out.v).max() < 1e-14
 
+    def test_mean_follows_the_free_flow(self, grid16):
+        # rhs_fields leaves a constant per component (here rho/|M|); the
+        # oracle drops the forcing's zero mode, as the stepper does, so the
+        # average of u stays put (the velocity's is zero)
+        cfg = CouplingConfig("mean_field", (5.0,))
+        gen = np.random.default_rng(5)
+        u0 = random_smooth_field(grid16, gen, 3, 0.5) + 0.7
+        u1 = random_smooth_field(grid16, gen, 3, 0.2, zero_mean=True, norm="l2")
+        st = wave_state_new(grid16, u0, u1)
+        out = dense_evolve(st, 0.25, lambda u: rhs_fields(grid16, u, cfg), 250)
+        assert abs(grid16.mean(out.u[0]) - grid16.mean(u0)) < 1e-14
+        assert abs(grid16.mean(out.v[0])) < 1e-14
+
     def test_grid_cap(self):
         g = make_torus_grid(32, 32)
         st = wave_state_new(g, np.zeros((32, 32)), np.zeros((32, 32)))

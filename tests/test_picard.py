@@ -98,7 +98,7 @@ def _iterate(grid, st, h, m, k):
     path = _frozen_loop(u0h, v0h, step.factors, m, lambda j: np.zeros_like(u0h))
     for _ in range(k):
         def forcing(j, prev=path):
-            return step.forcing(grid.to_physical_half_stack(prev.uh[j]))
+            return step.forcing(grid.to_physical_half_stack(prev.uh[j]))[0]
         path = _frozen_loop(u0h, v0h, step.factors, m, forcing)
     return path
 

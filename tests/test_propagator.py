@@ -529,6 +529,127 @@ class TestStepperBuffers:
         assert np.array_equal(u, alone[0]) and np.array_equal(v, alone[1])
 
 
+def weights_of(grid):
+    x1, x2 = grid.mesh()
+    ones = np.ones((grid.n1, grid.n2))
+    return (1.0 + 0.5 * np.cos(x1)) * ones, (1.0 + 0.3 * np.sin(x2)) * ones
+
+
+FORCING_CASES = {
+    "mean_field": lambda g: CouplingConfig("mean_field", (5.0,)),
+    "sinh_gordon": lambda g: CouplingConfig("sinh_gordon", (4 * np.pi, 3 * np.pi)),
+    "asymmetric_sinh_a2": lambda g: CouplingConfig("asymmetric_sinh", (4 * np.pi, 3 * np.pi), a=2.0),
+    "toda_A2": lambda g: CouplingConfig("toda", (3 * np.pi, 2 * np.pi), matrix=cartan_matrix("A", 2)),
+    "toda_G2": lambda g: CouplingConfig("toda", (2 * np.pi, np.pi), matrix=cartan_matrix("G2", 2)),
+    "sinh_gordon_weighted": lambda g: CouplingConfig(
+        "sinh_gordon", (4 * np.pi, 3 * np.pi), weights=weights_of(g)),
+    "toda_A2_weighted": lambda g: CouplingConfig(
+        "toda", (3 * np.pi, 2 * np.pi), matrix=cartan_matrix("A", 2), weights=weights_of(g)),
+}
+
+
+def evaluated_measures(cfg):
+    """The measures the forcing exponentiates: every Toda measure, the
+    scalar ones with rho != 0."""
+    from liouwave.functionals import equation_measures
+
+    return [m for m in equation_measures(cfg) if cfg.family == "toda" or m.rho != 0.0]
+
+
+class TestStepperForcing:
+    """`Stepper.forcing` on a `CouplingConfig`: one buffer-backed pass per
+    measure, with no mean subtraction, against a direct evaluation of the
+    zero-mean forcing and of the measures' log-normalizers."""
+
+    @staticmethod
+    def state(grid, cfg):
+        gen = np.random.default_rng(7)
+        return np.stack([random_smooth_field(grid, gen, 3, 3.0) for _ in range(cfg.ncomp)])
+
+    @staticmethod
+    def direct(grid, u, cfg):
+        """(forcing, log-normalizers) by plain numpy: each density and each
+        log-normalizer taken apart, the latter as max g + log of the
+        quadrature of e^(g - max g) for the exponent g."""
+        dens, logz = [], []
+        for m in evaluated_measures(cfg):
+            g = m.sign * (m.scale * u[m.component])
+            if m.log_weight is not None:
+                g = g + m.log_weight
+            top = g.max()
+            logz.append(top + float(np.log(grid.cell_area * np.exp(g - top).sum())))
+            d = np.exp(g)
+            dens.append(d / grid.integrate(d))
+        if cfg.family == "toda":
+            f = np.einsum("ij,j,jxy->ixy", cfg.matrix.entries, np.asarray(cfg.rho), np.stack(dens))
+        else:
+            f = sum(m.sign * m.rho * d for m, d in zip(evaluated_measures(cfg), dens))[None]
+        return f - f.mean(axis=(1, 2), keepdims=True), logz
+
+    @pytest.mark.parametrize("case", sorted(FORCING_CASES))
+    def test_matches_direct_forcing(self, grid32, case):
+        cfg = FORCING_CASES[case](grid32)
+        u = self.state(grid32, cfg)
+        step = prop.Stepper(grid32, 1e-3, cfg)
+        fh, logz = step.forcing(u)
+        f, logz_direct = self.direct(grid32, u, cfg)
+        ref = grid32.to_spectral_half_stack(f) * grid32.dealias_mask[:, :17]
+        ref[:, 0, 0] = 0.0
+        assert np.abs(fh - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert [x for x in logz if x is not None] == logz_direct
+        assert logz == rhs_fields(grid32, u, cfg, return_log_normalizers=True)[1]
+        # the same bits as a stepper on the plain `rhs_fields` callable, so
+        # orbits through either kind of stepper agree to the bit
+        plain, none = prop.Stepper(grid32, 1e-3, make_rhs(grid32, cfg)).forcing(u)
+        assert np.array_equal(fh, plain) and none is None
+        # the buffer is reused: a second call gives the same forcing
+        again, logz_again = step.forcing(u)
+        assert np.array_equal(again, fh) and logz_again == logz
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("case", sorted(FORCING_CASES))
+    def test_dynamic_range_error_on_the_same_inputs(self, grid32, case, bad):
+        from liouwave.rhs import DynamicRangeError
+
+        cfg = FORCING_CASES[case](grid32)
+        u = self.state(grid32, cfg)
+        u[-1, 5, 7] = bad
+        # out of range: a NaN or +inf in the exponent of an evaluated measure
+        expected = any(
+            m.component == cfg.ncomp - 1 and not m.sign * m.scale * bad < np.inf
+            for m in evaluated_measures(cfg)
+        )
+        raised = []
+        for forcing in (lambda: rhs_fields(grid32, u, cfg),
+                        lambda: prop.Stepper(grid32, 1e-3, cfg).forcing(u)):
+            try:
+                out = forcing()
+            except DynamicRangeError:
+                raised.append(True)
+            else:
+                raised.append(False)
+                assert np.isfinite(out[0] if isinstance(out, tuple) else out).all()
+        assert raised == [expected, expected]
+
+    @pytest.mark.parametrize("case", ["sinh_gordon", "asymmetric_sinh_a2", "toda_A2_weighted"])
+    def test_consecutive_calls_allocate_no_physical_array(self, grid64, case):
+        import tracemalloc
+
+        cfg = FORCING_CASES[case](grid64)
+        u = self.state(grid64, cfg)
+        step = prop.Stepper(grid64, 1e-3, cfg)
+        step.forcing(u)  # the first call makes the buffer
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fh, _ = step.forcing(u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # beyond the returned half spectra, less than one physical component
+        assert peak - fh.nbytes < u[0].nbytes
+
+
 class TestStepperConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):

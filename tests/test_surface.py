@@ -47,6 +47,15 @@ class TestGridConstruction:
         kept = (np.abs(g.k1[:, None]) <= 8) & (np.abs(g.k2[None, :]) <= 8)
         assert np.array_equal(g.dealias_mask, kept)
 
+    @pytest.mark.parametrize("n1, n2", [(8, 8), (24, 30), (32, 32), (30, 64)])
+    def test_dealias_half_is_the_mask(self, n1, n2, rng):
+        g = make_torus_grid(n1, n2)
+        shape = (2, n1, n2 // 2 + 1)
+        modes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expect = modes * g.dealias_mask[:, : n2 // 2 + 1]
+        out = g.dealias_half(modes)
+        assert out is modes and np.array_equal(out, expect)
+
 
 class TestTransforms:
     def test_cosine_single_pair(self, grid64):
