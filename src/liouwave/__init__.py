@@ -25,7 +25,6 @@ from .fields import (
 from .functionals import (
     FunctionalReport,
     energy,
-    equation_measures,
     evaluate_report,
     functional_J,
     grad_J,
@@ -45,6 +44,7 @@ from .rhs import (
     DynamicRangeError,
     cartan_matrix,
     coupling_matrix_from_entries,
+    equation_measures,
     rhs_fields,
     rhs_scalar,
     rhs_toda,

@@ -1,12 +1,14 @@
 """Concentration detection and blow-up alarms.
 
-The normalized measures e^{+-u}/int(e^{+-u}) are probability densities on the
-torus; finite-time singularity formation announces itself through gradient
-and log-integral growth together with those densities piling their mass into
-finitely many metric balls.  This module computes the densities, their
-ball-mass maps, a deterministic greedy point detector, and the monitor that
-evolve() consults, including the coupling-window arithmetic that fixes how
-many concentration points to look for.
+The normalized measures of the equation (`rhs.equation_measures`: h1 e^u and
+h2 e^{-a u}, or h_j e^{u_j} per Toda component) are probability densities on
+the torus; finite-time singularity formation announces itself through
+gradient and log-integral growth together with those densities piling their
+mass into finitely many metric balls.  This module computes the densities,
+their ball-mass maps, a deterministic greedy point detector, and the monitor
+that evolve() consults, including the coupling-window arithmetic (each
+measure's rho and window width from the table) that fixes how many
+concentration points to look for.
 
 The monitor makes no transform and no log-sum-exp of its own on a quiet
 sample: it thresholds the gradient norm and the measures' log-integrals of
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import equation_measures, evaluate_report
-from .rhs import CouplingConfig
+from .functionals import evaluate_report
+from .rhs import CouplingConfig, equation_measures
 from .surface import SpectralGrid
 
 
@@ -177,7 +179,7 @@ def blowup_monitor(state, cfg: CouplingConfig, thresholds: MonitorThresholds, re
 
     Triggers when the report's gradient norm (the largest over components)
     or the centred log integral log int w e^{sign*a*(u - ubar)} of any of the
-    equation's measures with nonzero rho (`functionals.equation_measures`;
+    equation's measures with nonzero rho (`rhs.equation_measures`;
     weights and the asymmetry exponent included) reaches its threshold
     (`alarm_condition` names the one that did);
     constant states, which are stationary, stay quiet.  Both are read from

@@ -150,6 +150,12 @@ SCHEMA = {
 _RHO_KEYS = tuple(f"rho{i}" for i in range(1, 9))
 
 
+def _rho_arity(family, values):
+    """How many rho keys the family takes: ncomp for toda, else the arity of
+    `rhs`."""
+    return values["ncomp"] if family == "toda" else rhs._RHO_ARITY[family]
+
+
 class RunConfig:
     """Validated flat configuration; values live in `.values` keyed as in the
     config text, and `explicit` records which keys the text actually set."""
@@ -170,17 +176,12 @@ class RunConfig:
         return self.values["ncomp"] if self.family == "toda" else 1
 
     def rho(self):
-        if self.family == "mean_field":
-            return (self.values["rho1"],)
-        if self.family == "toda":
-            return tuple(self.values[f"rho{i}"] for i in range(1, self.values["ncomp"] + 1))
-        return (self.values["rho1"], self.values["rho2"])
+        return tuple(self.values[key] for key in _RHO_KEYS[:_rho_arity(self.family, self.values)])
 
     def _applicable(self, key):
         fam = self.family
         if key in _RHO_KEYS:
-            arity = self.values["ncomp"] if fam == "toda" else (1 if fam == "mean_field" else 2)
-            return int(key[3:]) <= arity
+            return int(key[3:]) <= _rho_arity(fam, self.values)
         if key == "a":
             return fam == "asymmetric_sinh"
         if key in ("matrix", "ncomp"):
@@ -244,7 +245,7 @@ def parse_config(text: str) -> RunConfig:
         values[key] = val
 
     # family-conditional keys
-    arity = values["ncomp"] if family == "toda" else (1 if family == "mean_field" else 2)
+    arity = _rho_arity(family, values)
     for i, key in enumerate(_RHO_KEYS, start=1):
         if key in explicit and i > arity:
             raise ValueError(f"unknown key {key!r} for family {family}")
@@ -585,7 +586,7 @@ def _run_picard_verify(rc, out_dir, seed):
         state, cfg, T, h, tol=rc["picard.tol"], max_iter=rc["picard.max_iter"],
         dealias=rc["dealias"],
     )
-    sup = _sup_h1_distance(grid, rep.path, state, cfg, h, rc["dealias"])
+    sup = picard.sup_h1_distance(grid, rep.path, state, cfg, h, rc["dealias"])
     # both first ratios are read off the solve, on its grid of m steps of h;
     # the half horizon is round(m/2) steps, one when m = 1
     m = len(states) - 1
@@ -605,25 +606,6 @@ def _run_picard_verify(rc, out_dir, seed):
     ]
     _write_report(os.path.join(out_dir, "report.txt"), lines)
     return 0
-
-
-def _sup_h1_distance(grid, path, state0, cfg, h, dealias):
-    """sup over the Picard time grid of the H1 distance between the u of
-    `path` (a Picard path's half spectra) and the frozen-scheme orbit started
-    from the same data.  The orbit is stepped as `evolve` steps it, carried
-    in mode space through `propagator.Stepper.step` (per node one forward
-    transform of the forcing and one inverse transform of the new u), and
-    each distance is the Picard solve's per-node H1 distance on the half
-    spectra."""
-    step = propagator.Stepper(grid, h, cfg, "frozen", dealias)
-    u = state0.u
-    uh, vh = grid.to_spectral_half_stack(u), grid.to_spectral_half_stack(state0.v)
-    dist = picard._NodeDistance(grid, uh.shape)
-    sup = dist.h1(path.uh[0], uh)
-    for k in range(1, path.uh.shape[0]):
-        uh, vh, u = step.step(uh, vh, step.forcing(u))
-        sup = max(sup, dist.h1(path.uh[k], uh))
-    return sup
 
 
 def _run_functional_scan(rc, out_dir, seed):

@@ -1,42 +1,38 @@
 """Energies, Euler-Lagrange functionals, their L2 gradients, and the
 Moser-Trudinger-type residual diagnostics.
 
-Scalar families:   J(u) = 1/2 ||grad u||^2 - rho1 log int h1 e^{u - ubar}
-                          - (rho2/a) log int h2 e^{-a(u - ubar)}
-Coupled systems:   J(u) = 1/2 sum_ij Q_ij <grad u_i, grad u_j>
-                          - sum_i c_i log int h_i e^{u_i - ubar_i}
-with Q the symmetrized inverse coupling and c_i = d_i rho_i.  The conserved
-energy adds the matching kinetic quadratic form; E = kinetic + J is an
-identity at every slice.
+    J(u) = 1/2 sum_ij Q_ij <grad u_i, grad u_j>
+           - sum_m c_m log int w_m e^{sign_m*scale_m*(u_c - ubar_c)}
+
+over the measures m of `rhs.equation_measures`, with Q the symmetrized
+inverse coupling (1 for the scalar families) and c_m the measure's
+coefficient: rho1 and rho2/a for h1 e^u and h2 e^{-a u}, d_j rho_j for the
+Toda measure h_j e^{u_j}.  The L2 gradient `grad_J` is one formula over the
+same table.  The conserved energy adds the matching kinetic quadratic form;
+E = kinetic + J is an identity at every slice.
 
 Everything is computed in one pass over the half (rfft) spectra of the
 state.  Means are the zero modes; H1 seminorms and the Dirichlet and kinetic
 forms come from one Parseval Gram matrix per field (`_gram`: one BLAS
 product with the grid's Hermitian column weights), contracted with the
-energy form (Q = 1 for the scalar families).  `equation_measures` is the one
-list of the equation's measures w e^{sign*scale*u_c}; each has one centred
-log-integral per slice, which J, the report's columns, the residual and the
-blow-up monitor share.  `evolve` hands the report the half spectra it
-carries and the log-normalizers of the forcing it evaluated on the same u,
-so a sample makes no transform, and no log-sum-exp for a measure the
-forcing exponentiated; without them the report takes one rfft per
-component of u and v and one log-sum-exp per measure, and runs the same
-code.
+energy form.  Each measure of the table has one centred log-integral per
+slice, which J, the report's columns, the residual and the blow-up monitor
+share.  `evolve` hands the report the half spectra it carries and the
+log-normalizers of the forcing it evaluated on the same u, so a sample makes
+no transform, and no log-sum-exp for a measure the forcing exponentiated;
+without them the report takes one rfft per component of u and v and one
+log-sum-exp per measure, and runs the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .fields import WaveState
-from .rhs import CouplingConfig, rhs_scalar
+from .rhs import EIGHT_PI, FOUR_PI, CouplingConfig, equation_measures
 from .surface import SpectralGrid
-
-EIGHT_PI = 8.0 * np.pi
-FOUR_PI = 4.0 * np.pi
 
 
 @dataclass
@@ -60,48 +56,10 @@ class FunctionalReport:
     log_integrals: tuple
 
 
-@dataclass(eq=False)
-class Measure:
-    """One measure w e^{sign*scale*u_c} of the equation's nonlinearity, with
-    the log of its weight (None when unweighted), its coupling rho, the width
-    of its concentration windows and a name for alarms."""
-
-    sign: int
-    scale: float
-    log_weight: Optional[np.ndarray]
-    rho: float
-    window: float
-    component: int
-    name: str
-
-
-def equation_measures(cfg: CouplingConfig) -> list:
-    """The equation's measures, one per rho entry: h1 e^{u} and
-    h2 e^{-a u} for the scalar families (windows of 8 pi), h_j e^{u_j} per
-    component for coupled systems (windows of 4 pi).  Measures with rho = 0
-    are listed too; they enter neither J nor the monitor."""
-    if cfg.family == "toda":
-        return [Measure(+1, 1.0, cfg.log_weight(j), cfg.rho[j], FOUR_PI, j, f"e^{{u_{j + 1}}}")
-                for j in range(cfg.matrix.n)]
-    rho1, rho2 = cfg.rho_pair()
-    minus = "e^{-u}" if cfg.a == 1.0 else f"e^{{-{cfg.a:g}u}}"
-    return [Measure(+1, 1.0, cfg.log_weight(0), rho1, EIGHT_PI, 0, "e^{u}"),
-            Measure(-1, cfg.a, cfg.log_weight(1), rho2, EIGHT_PI, 0, minus)]
-
-
-def _log_coefficients(cfg: CouplingConfig):
-    """The coefficient of each measure's log-integral in J."""
-    if cfg.family == "toda":
-        return cfg.matrix.log_coefficients(cfg.rho)
-    rho1, rho2 = cfg.rho_pair()
-    return rho1, rho2 / cfg.a
-
-
 def _energy_form(cfg: CouplingConfig) -> np.ndarray:
-    """The matrix contracting the Dirichlet and kinetic Gram matrices."""
-    if cfg.family == "toda":
-        return cfg.matrix.energy_form()
-    return np.ones((1, 1))
+    """The matrix Q contracting the Dirichlet and kinetic Gram matrices: the
+    coupling matrix's energy form, and 1 for one component."""
+    return cfg.matrix.energy_form() if cfg.ncomp > 1 else np.ones((1, 1))
 
 
 def _stacked(u: np.ndarray) -> np.ndarray:
@@ -142,12 +100,12 @@ def _centered_log_integral(grid, u, mean, sign, log_weight=None, scale=1.0,
     return float(log_normalizer - sign * scale * mean)
 
 
-def _functional(cfg: CouplingConfig, dirichlet: float, logs) -> float:
+def _functional(measures, dirichlet: float, logs) -> float:
     """J from the Dirichlet form and the measures' log-integrals."""
     val = dirichlet
-    for c, lg in zip(_log_coefficients(cfg), logs):
-        if c != 0.0:
-            val -= c * lg
+    for m, lg in zip(measures, logs):
+        if m.coefficient != 0.0:
+            val -= m.coefficient * lg
     return float(val)
 
 
@@ -171,41 +129,45 @@ def _residual(flavor: str, dirichlet: float, plain, ncomp: int, params) -> float
 
 
 def functional_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> float:
-    """The family's functional (weights and asymmetry included); u is stacked
+    """The functional J (weights and asymmetry included); u is stacked
     (ncomp, n1, n2), or one (n1, n2) field for the scalar families."""
     u = _stacked(u)
+    q = _energy_form(cfg)
     uh = grid.to_spectral_half_stack(u)
     means = _means(grid, uh)
+    measures = equation_measures(cfg)
     logs = [
         _centered_log_integral(grid, u[m.component], means[m.component], m.sign, m.log_weight,
-                               m.scale) if c != 0.0 else 0.0
-        for m, c in zip(equation_measures(cfg), _log_coefficients(cfg))
+                               m.scale) if m.coefficient != 0.0 else 0.0
+        for m in measures
     ]
-    return _functional(cfg, _form(_gram(grid, uh, True), _energy_form(cfg)), logs)
+    return _functional(measures, _form(_gram(grid, uh, True), q), logs)
 
 
 def energy(state: WaveState, cfg: CouplingConfig) -> float:
     """Conserved energy: the kinetic form (contracted with the energy form,
-    as the Dirichlet one) plus the family's functional."""
+    as the Dirichlet one) plus the functional J."""
     g = state.grid
     kinetic = _form(_gram(g, g.to_spectral_half_stack(state.v), False), _energy_form(cfg))
     return kinetic + functional_J(g, state.u, cfg)
 
 
 def grad_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
-    """L2 gradient of the functional: -Delta u minus the equation forcing.
-    Vanishes exactly at constants for the symmetric problem."""
-    if cfg.family == "toda":
-        q = cfg.matrix.energy_form()
-        coeffs = cfg.matrix.log_coefficients(cfg.rho)
-        out = np.einsum("ij,jxy->ixy", q, grid.minus_laplacian(u))
-        inv_area = 1.0 / grid.area
-        for i in range(cfg.matrix.n):
-            dens, _ = grid.normalized_exp(u[i], 1.0, log_weight=cfg.log_weight(i))
-            out[i] -= coeffs[i] * (dens - inv_area)
-        return out
-    uu = u[0] if u.ndim == 3 else u
-    return grid.minus_laplacian(uu) - rhs_scalar(grid, uu, cfg)
+    """L2 gradient of the functional, shaped as u: component i is
+
+        sum_j Q_ij (-Delta u_j) - sum_m c_m sign_m scale_m (dens_m - 1/|M|)
+
+    over the measures m on u_i (`equation_measures`), c_m the measure's
+    coefficient in J and dens_m its density.  Vanishes at constants for the
+    symmetric problem."""
+    uu = _stacked(u)
+    out = np.einsum("ij,jxy->ixy", _energy_form(cfg), grid.minus_laplacian(uu))
+    for m in equation_measures(cfg):
+        if m.coefficient != 0.0:
+            dens, _ = grid.normalized_exp(m.scale * uu[m.component], m.sign,
+                                          log_weight=m.log_weight)
+            out[m.component] -= m.coefficient * m.sign * m.scale * (dens - 1.0 / grid.area)
+    return out.reshape(np.shape(u))
 
 
 def mt_residual(grid: SpectralGrid, u: np.ndarray, flavor: str = "standard", **params) -> float:
@@ -296,7 +258,7 @@ def evaluate_report(state: WaveState, cfg: CouplingConfig, spectra=None,
     else:
         log_plus, log_minus = logs
         flavor = "standard" if cfg.family == "mean_field" else "sinh"
-    jval = _functional(cfg, dirichlet, logs)
+    jval = _functional(measures, dirichlet, logs)
     return FunctionalReport(
         t=float(state.t),
         means=means,

@@ -20,7 +20,7 @@ node's difference with the grid's interleaved Parseval weights), with no
 whole-path temporaries.  `picard_solve` builds its returned states one node
 at a time, and its report keeps the path's half spectra, against which
 picard-verify compares the stepper's orbit by the same per-node distance
-without transforming the states back.
+(`sup_h1_distance`) without transforming the states back.
 
 The first contraction ratio has one definition, `_first_ratio`: the sup over
 the nodes of d(F^2 u, F u) over that of d(F u, u), from the free path u.
@@ -124,6 +124,25 @@ def _node_distances(grid, a: _Path, b: _Path) -> np.ndarray:
 def _path_distance(grid, a: _Path, b: _Path) -> float:
     """sup over nodes of `_node_distances`."""
     return float(_node_distances(grid, a, b).max())
+
+
+def sup_h1_distance(grid, path, state0, cfg, h, dealias):
+    """sup over the Picard time grid of the H1 distance between the u of
+    `path` (a Picard path's half spectra) and the frozen-scheme orbit started
+    from the same data, which picard-verify reports.  The orbit is stepped
+    as `evolve` steps it, carried in mode space through `Stepper.step` (per
+    node one forward transform of the forcing and one inverse transform of
+    the new u), and each distance is the Picard solve's per-node H1
+    distance (`_NodeDistance`) on the half spectra."""
+    step = Stepper(grid, h, cfg, "frozen", dealias)
+    u = state0.u
+    uh, vh = grid.to_spectral_half_stack(u), grid.to_spectral_half_stack(state0.v)
+    dist = _NodeDistance(grid, uh.shape)
+    sup = dist.h1(path.uh[0], uh)
+    for k in range(1, path.uh.shape[0]):
+        uh, vh, u = step.step(uh, vh, step.forcing(u))
+        sup = max(sup, dist.h1(path.uh[k], uh))
+    return sup
 
 
 def _free_path(u0h, v0h, factors, m) -> _Path:

@@ -19,10 +19,11 @@ orbit all run through it.
 
 The forcing has one path, `Stepper.forcing(u) -> (fh, logz)`.  For the
 equation's `CouplingConfig` it is `rhs_fields` writing into the stepper's
-physical buffer (one exponential pass and one scale per measure, no mean
-subtraction), then one batched rfft, the mask and the removal of the zero
-mode, which is the one place the forcing's constant is dropped; logz are
-the log-normalizers of its measures.  A plain callable forcing (the
+physical buffer (one exponential pass per measure with rho != 0 into a
+slice of its own, one coupling-matrix product, no mean subtraction), then
+one batched rfft, the mask and the removal of the zero mode, which is the
+one place the forcing's constant is dropped; logz are the log-normalizers
+of its measures.  A plain callable forcing (the
 `rhs_eval` of `duhamel_step`) takes the same transform path, with logz None.
 
 The state is carried in mode space.  `Stepper.step` maps the half spectra
@@ -156,10 +157,13 @@ class Stepper:
         logz the log-normalizers of its measures (None for a callable
         `rhs`).  Raises `DynamicRangeError` where `rhs_fields` does."""
         if isinstance(self.rhs, CouplingConfig):
-            if self._physical is None or self._physical.shape[1:] != u.shape:
-                self._physical = np.empty((2,) + u.shape)
+            # the forcing's components, then one slice per measure
+            n = self.rhs.ncomp
+            shape = (n + self.rhs.ncomp_measures,) + u.shape[1:]
+            if self._physical is None or self._physical.shape != shape:
+                self._physical = np.empty(shape)
             f, logz = rhs_fields(self.grid, u, self.rhs, return_log_normalizers=True,
-                                 out=self._physical[0], work=self._physical[1])
+                                 out=self._physical[:n], work=self._physical[n:])
         else:
             f, logz = self.rhs(u), None
         fh = self.grid.to_spectral_half_stack(f)
@@ -319,7 +323,8 @@ def evolve(
         gk = first_step_index + k
         t = t0 + gk * stepper.h
         max_u = max(float(u.max()), -float(u.min()))  # max|u|; NaN when u has one
-        finite = bool(np.isfinite(max_u) and np.isfinite(vh.view(np.float64)).all())
+        vf = vh.view(np.float64)  # max and min carry a NaN or an inf, with no temporary
+        finite = bool(np.isfinite(max_u) and np.isfinite(vf.max()) and np.isfinite(vf.min()))
         if finite:
             try:
                 forcing = step.forcing(u)

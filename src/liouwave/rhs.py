@@ -1,23 +1,30 @@
-"""Right-hand sides of the wave equations, for every equation family.
+"""Right-hand sides of the wave equations, and the table of their measures.
 
-All families share the structure "coupling * (normalized exponential measure
-minus the uniform density)", which integrates to zero.  The public
-`rhs_scalar` and `rhs_toda` subtract their discrete mean, so the zero-mean
-structure holds to round-off.  `rhs_fields`, the forcing the propagator
-steps with, leaves out both the constant -rho/|M| offsets and the mean
-subtraction: the stepper removes the forcing's zero mode itself
+Every equation shares the structure "coupling * (normalized exponential
+measure minus the uniform density)", which integrates to zero.
+`equation_measures(cfg)` is the one table of an equation's measures
+w e^{sign*scale*u_c}: per measure its sign, scale, weight, rho, coefficient
+in J, column of the coupling matrix (the Cartan matrix of a Toda system,
+[[1]] for the scalar families) and concentration window.  The forcing here,
+J and its gradient (`functionals`), the report's log-integrals and the
+blow-up monitor (`blowup`) all read it.
+
+The public `rhs_scalar` and `rhs_toda` subtract their discrete mean, so the
+zero-mean structure holds to round-off.  `rhs_fields`, the forcing the
+propagator steps with, leaves out both the constant -rho/|M| offsets and the
+mean subtraction: the stepper removes the forcing's zero mode itself
 (`propagator.Stepper.forcing`), which conserves the component averages
 exactly.
 
-Each measure takes one exponential pass (`SpectralGrid.shifted_exp`),
-whose max is also the finiteness check: a NaN or +inf exponent raises
-`DynamicRangeError`.  Its normalizer 1/Z and its rho fold into one scale of
-the exponential, with no density array of its own; the pass also yields the
-measure's log-normalizer, which `rhs_fields` hands back on request, so a
+Each measure with rho != 0 takes one exponential pass
+(`SpectralGrid.shifted_exp`), whose max is also the finiteness check: a NaN
+or +inf exponent raises `DynamicRangeError`.  One matrix product then
+applies the coupling columns, each scaled by its measure's sign*rho/Z, so
+the normalizer 1/Z needs no density array of its own.  The pass also yields
+the measure's log-normalizer, which `rhs_fields` hands back on request, so a
 sample of the same state reads its log-integrals without exponentiating
-again.  Toda components are combined by one coupling-matrix product.  The
-stepper hands `rhs_fields` buffers it keeps, so its forcing allocates no
-grid-sized array.
+again.  The stepper hands `rhs_fields` buffers it keeps, so its forcing
+allocates no grid-sized array.
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ from .surface import SpectralGrid
 FAMILIES = ("mean_field", "sinh_gordon", "asymmetric_sinh", "toda")
 
 _RHO_ARITY = {"mean_field": 1, "sinh_gordon": 2, "asymmetric_sinh": 2}
+
+EIGHT_PI = 8.0 * np.pi
+FOUR_PI = 4.0 * np.pi
 
 
 class DynamicRangeError(RuntimeError):
@@ -64,12 +74,6 @@ class CouplingMatrix:
         if self.symmetrizer is None:
             raise ValueError("energy undefined for non-symmetrizable coupling")
         return self.symmetrizer[:, None] * self.inverse
-
-    def log_coefficients(self, rho) -> np.ndarray:
-        """Coefficients d_i * rho_i of the log-integral terms of the energy."""
-        if self.symmetrizer is None:
-            raise ValueError("energy undefined for non-symmetrizable coupling")
-        return self.symmetrizer * np.asarray(rho, dtype=float)
 
 
 def _tridiagonal_symmetrizer(a: np.ndarray) -> Optional[np.ndarray]:
@@ -224,13 +228,46 @@ class CouplingConfig:
             return None
         return self.log_weights[i]
 
-    def rho_pair(self):
-        """(rho1, rho2) with rho2 = 0 for the mean-field family."""
-        if self.family == "toda":
-            raise ValueError("scalar rho pair undefined for toda")
-        if self.family == "mean_field":
-            return self.rho[0], 0.0
-        return self.rho[0], self.rho[1]
+
+@dataclass(eq=False)
+class Measure:
+    """One measure w e^{sign*scale*u_c} of the equation's nonlinearity, on
+    component c = `component`: the log of its weight (None when unweighted),
+    its rho, its coefficient in J (rho/scale times the symmetrizer entry
+    d_c; None when the coupling has no symmetrizer, which leaves J
+    undefined), its column A[:, c] of the coupling matrix A ([1] for the
+    scalar families) through which its density drives the components, the
+    width of its concentration windows and a name for alarms."""
+
+    sign: int
+    scale: float
+    log_weight: Optional[np.ndarray]
+    rho: float
+    coefficient: Optional[float]
+    coupling: np.ndarray
+    window: float
+    component: int
+    name: str
+
+
+def equation_measures(cfg: CouplingConfig) -> list:
+    """The equation's measures, one per rho entry, in the order of rho:
+    h1 e^{u} and h2 e^{-a u} for the scalar families (the second with
+    rho2 = 0 for mean field; windows of 8 pi), h_j e^{u_j} per component
+    for coupled systems (windows of 4 pi).  This is the one definition of
+    the measures: the forcing, J, its gradient, the report and the monitor
+    read them here.  Measures with rho = 0 are listed too; they enter
+    neither the forcing, nor J, nor the monitor."""
+    if cfg.family == "toda":
+        entries, d = cfg.matrix.entries, cfg.matrix.symmetrizer
+        return [Measure(+1, 1.0, cfg.log_weight(j), rho, None if d is None else d[j] * rho,
+                        entries[:, j], FOUR_PI, j, f"e^{{u_{j + 1}}}")
+                for j, rho in enumerate(cfg.rho)]
+    rho1, rho2 = cfg.rho if len(cfg.rho) == 2 else (cfg.rho[0], 0.0)
+    minus = "e^{-u}" if cfg.a == 1.0 else f"e^{{-{cfg.a:g}u}}"
+    one = np.ones(1)
+    return [Measure(+1, 1.0, cfg.log_weight(0), rho1, rho1, one, EIGHT_PI, 0, "e^{u}"),
+            Measure(-1, cfg.a, cfg.log_weight(1), rho2, rho2 / cfg.a, one, EIGHT_PI, 0, minus)]
 
 
 def _exp_measure(grid, x, sign, log_weight, out):
@@ -247,50 +284,6 @@ def _exp_measure(grid, x, sign, log_weight, out):
     return z, m + float(np.log(z))
 
 
-def _scalar_forcing(grid, u, cfg, out, work):
-    """Writes rho1 h1 e^u / Z1 - rho2 h2 e^{-a u} / Z2 of the one component
-    u into `out`, each measure's exponential scaled by one factor rho / z,
-    with `work` holding the second; returns the log-normalizers of the two
-    measures (None where rho = 0, which the forcing does not evaluate)."""
-    if cfg.family == "toda":
-        raise ValueError("use rhs_toda for toda configurations")
-    rho1, rho2 = cfg.rho_pair()
-    logz = [None, None]
-    if rho1 == 0.0 and rho2 == 0.0:
-        out.fill(0.0)
-        return logz
-    if rho1 != 0.0:
-        z, logz[0] = _exp_measure(grid, u, 1, cfg.log_weight(0), out)
-        out *= rho1 / z
-    if rho2 != 0.0:
-        dens = out if rho1 == 0.0 else work
-        x = u if cfg.a == 1.0 else np.multiply(u, cfg.a, out=dens)
-        z, logz[1] = _exp_measure(grid, x, -1, cfg.log_weight(1), dens)
-        dens *= -rho2 / z
-        if dens is not out:
-            out += dens
-    return logz
-
-
-def _toda_forcing(grid, u, cfg, out, work):
-    """Writes sum_j a_ij rho_j e^{u_j} / Z_j into component i of `out`, from
-    the exponentials of every component in `work`, by one product with the
-    coupling matrix whose columns carry the scales rho_j / z_j; returns the
-    log-normalizer of each component's measure."""
-    if cfg.family != "toda":
-        raise ValueError("rhs_toda requires a toda configuration")
-    n = cfg.matrix.n
-    if u.shape[0] != n:
-        raise ValueError(f"expected {n} components, got {u.shape[0]}")
-    z = np.empty(n)
-    logz = [None] * n
-    for j in range(n):
-        z[j], logz[j] = _exp_measure(grid, u[j], 1, cfg.log_weight(j), work[j])
-    coeff = cfg.matrix.entries * (np.asarray(cfg.rho) / z)[None, :]
-    np.matmul(coeff, work.reshape(n, -1), out=out.reshape(n, -1))
-    return logz
-
-
 def _buffer(buf, shape):
     """`buf` checked to be a C-contiguous float array of `shape` (its
     reshapes must be views), or a fresh one when None."""
@@ -301,59 +294,67 @@ def _buffer(buf, shape):
     return buf
 
 
-def _zero_mean(f):
-    """f minus the discrete mean of each component (the last two axes)."""
-    f -= f.mean(axis=(-2, -1), keepdims=True)
-    return f
-
-
 def rhs_scalar(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
-    """Forcing of the scalar families:
+    """Forcing of the scalar families on one (n1, n2) field:
 
         rho1*(h1 e^u / int(h1 e^u) - 1/|M|) - rho2*(h2 e^{-a u} / int - 1/|M|)
 
     The output mean is subtracted, so the result integrates to zero exactly.
     """
-    u = np.asarray(u, dtype=np.float64)
-    out = np.empty(u.shape)
-    _scalar_forcing(grid, u, cfg, out, np.empty(u.shape))
-    return _zero_mean(out)
+    return rhs_toda(grid, np.asarray(u)[None], cfg)[0]
 
 
 def rhs_toda(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
-    """Forcing of the coupled system: component i gets
-    sum_j a_ij rho_j (e^{u_j} / int(e^{u_j}) - 1/|M|), mean-subtracted."""
-    u = np.asarray(u, dtype=np.float64)
-    out = np.empty(u.shape)
-    _toda_forcing(grid, u, cfg, out, np.empty(u.shape))
-    return _zero_mean(out)
+    """Forcing of stacked (ncomp, n1, n2) input; for the coupled system,
+    component i gets sum_j a_ij rho_j (e^{u_j} / int(e^{u_j}) - 1/|M|).
+    The discrete mean of each component is subtracted."""
+    f = rhs_fields(grid, u, cfg)
+    f -= f.mean(axis=(-2, -1), keepdims=True)
+    return f
 
 
 def rhs_fields(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig,
                return_log_normalizers: bool = False, out=None, work=None):
     """The forcing of stacked (ncomp, n1, n2) input, up to one constant per
-    component: it leaves out the -rho/|M| offsets and keeps its discrete
-    mean, because the integrators drop the forcing's zero mode
-    (`propagator.Stepper.forcing`, `oracle.dense_evolve`).  `rhs_scalar` and
-    `rhs_toda` give the zero-mean forcing.
+    component: component i gets sum_m A[i, c_m] sign_m rho_m dens_m over
+    the measures m of `equation_measures(cfg)` with rho_m != 0, dens_m the
+    density of the measure on component c_m.  It leaves out the -rho/|M|
+    offsets and keeps its discrete mean, because the integrators drop the
+    forcing's zero mode (`propagator.Stepper.forcing`,
+    `oracle.dense_evolve`).  `rhs_scalar` and `rhs_toda` give the zero-mean
+    forcing.
 
-    Each measure takes one exponential pass and one scale.  `out` receives
-    the forcing and `work` holds the measures' exponentials: C-contiguous
-    float arrays of shape (ncomp, n1, n2), fresh when None, so a caller that
-    keeps them (the stepper) makes no grid-sized array per call.
+    Each measure with rho != 0 takes one exponential pass into its own
+    slice of `work`; one matrix product then applies the coefficients
+    C[i, m] = A[i, c_m] sign_m rho_m / z_m, z_m the integral of the
+    exponential.  `out` receives the forcing, shaped as u, and `work` has
+    one (n1, n2) slice per measure of the table: C-contiguous float arrays,
+    fresh when None, so a caller that keeps them (the stepper) makes no
+    grid-sized array per call.
 
-    With `return_log_normalizers`, returns (forcing, logz): logz[i] is the
-    log-normalizer log int w e^{sign*scale*u_c} of measure i of
-    `functionals.equation_measures(cfg)`, which the forcing divided by, or
-    None for a measure with rho = 0, which the forcing does not evaluate.
-    The report reads a measure's centred log-integral off it as
-    logz[i] - sign*scale*ubar_c.
+    With `return_log_normalizers`, returns (forcing, logz): logz[m] is the
+    log-normalizer log int w e^{sign*scale*u_c} of measure m, which the
+    forcing divided by, or None for a measure with rho = 0, which the
+    forcing does not evaluate.  The report reads a measure's centred
+    log-integral off it as logz[m] - sign*scale*ubar_c.
     """
     u = np.asarray(u, dtype=np.float64)
-    shape = (cfg.ncomp,) + u.shape[-2:]
-    out, work = _buffer(out, shape), _buffer(work, shape)
-    if cfg.family == "toda":
-        logz = _toda_forcing(grid, u, cfg, out, work)
-    else:
-        logz = _scalar_forcing(grid, u[0], cfg, out[0], work[0])
+    if u.ndim != 3 or u.shape[0] != cfg.ncomp:
+        raise ValueError(f"expected {cfg.ncomp} stacked components, got shape {u.shape}")
+    measures = equation_measures(cfg)
+    out = _buffer(out, u.shape)
+    work = _buffer(work, (len(measures),) + u.shape[1:])
+    logz = [None] * len(measures)
+    coeff = np.empty((cfg.ncomp, len(measures)))
+    k = 0  # measures exponentiated so far: work[:k] holds them
+    for i, m in enumerate(measures):
+        if m.rho == 0.0:
+            continue
+        x = u[m.component]
+        if m.scale != 1.0:
+            x = np.multiply(x, m.scale, out=work[k])
+        z, logz[i] = _exp_measure(grid, x, m.sign, m.log_weight, work[k])
+        coeff[:, k] = m.coupling * (m.sign * m.rho / z)
+        k += 1
+    np.matmul(coeff[:, :k], work.reshape(len(measures), -1)[:k], out=out.reshape(cfg.ncomp, -1))
     return (out, tuple(logz)) if return_log_normalizers else out

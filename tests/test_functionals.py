@@ -141,8 +141,9 @@ class TestEnergies:
         mat = cartan_matrix("G2", 2)
         q = mat.energy_form()
         assert np.allclose(q, q.T, atol=1e-14)
-        coeffs = mat.log_coefficients((1.0, 1.0))
-        assert np.array_equal(coeffs, [3.0, 1.0])
+        # J's coefficients d_j rho_j, read off the table of the measures
+        coeffs = [m.coefficient for m in equation_measures(toda_a2((1.0, 1.0), mat))]
+        assert coeffs == [3.0, 1.0]
 
 
 class TestGradJ:
@@ -183,6 +184,28 @@ class TestGradJ:
                         bubble_field(grid32, (4.0, 1.0), 2.0)])
         gr = grad_J(grid32, u, cfg)
         inner = sum(grid32.integrate(gr[i] * phi[i]) for i in range(2))
+        eps = 1e-4
+        fd = (
+            functional_J(grid32, u + eps * phi, cfg)
+            - functional_J(grid32, u - eps * phi, cfg)
+        ) / (2 * eps)
+        assert fd == pytest.approx(inner, rel=1e-6)
+
+    @pytest.mark.parametrize("case", ["asymmetric_sinh_a2_weighted", "toda_G2_weighted"])
+    def test_gradient_fd_scale_and_symmetrizer(self, grid32, case):
+        # the one gradient formula's coefficient c*sign*scale: the e^{-2u}
+        # measure's scale a = 2 (c = rho2/a), G2's symmetrizer d = (3, 1)
+        # (c = d_j rho_j), both with weights
+        if case == "toda_G2_weighted":
+            cfg = toda_a2((2.0, 3.0), cartan_matrix("G2", 2), weights=two_weights(grid32))
+        else:
+            cfg = CouplingConfig("asymmetric_sinh", (2.0, 3.0), a=2.0, weights=two_weights(grid32))
+        u = np.stack([bubble_field(grid32, (np.pi, np.pi), 2.0),
+                      0.8 * bubble_field(grid32, (2.0, 2.0), 2.0)])[:cfg.ncomp]
+        phi = np.stack([bubble_field(grid32, (1.0, 4.0), 2.0),
+                        bubble_field(grid32, (4.0, 1.0), 2.0)])[:cfg.ncomp]
+        gr = grad_J(grid32, u, cfg)
+        inner = sum(grid32.integrate(gr[i] * phi[i]) for i in range(cfg.ncomp))
         eps = 1e-4
         fd = (
             functional_J(grid32, u + eps * phi, cfg)

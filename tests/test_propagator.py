@@ -317,6 +317,31 @@ class TestEvolve:
         assert traj.stop_reason.t == traj.final_state.t == pytest.approx(2e-2)
         assert np.isfinite(traj.final_state.u).all()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, -np.inf)])
+    def test_nonfinite_velocity_stops_at_its_step(self, grid32, monkeypatch, bad):
+        # a NaN or an infinity in the carried velocity spectra, with u still
+        # finite, ends the run non-finite at the step that made it (frozen:
+        # a symmetric step would also stop one step later, at its predictor)
+        cfg = CouplingConfig("sinh_gordon", (np.pi, np.pi))
+        st = eigenmode_state(grid32, 0.5)
+        calls = {"n": 0}
+        real = prop.Stepper.step
+
+        def poisoned(self, uh, vh, forcing):
+            uh, vh, u = real(self, uh, vh, forcing)
+            calls["n"] += 1
+            if calls["n"] == 3:
+                vh[0, 2, 3] = bad
+            return uh, vh, u
+
+        monkeypatch.setattr(prop.Stepper, "step", poisoned)
+        traj = evolve(st, 1.0, StepperConfig(h=1e-2, scheme="frozen"), cfg)
+        assert traj.status == STATUS_NONFINITE
+        assert traj.stop_reason.condition == "non_finite"
+        assert calls["n"] == 3
+        assert traj.stop_reason.t == traj.final_state.t == pytest.approx(3e-2)
+        assert np.isfinite(traj.final_state.u).all()
+
     def test_rejects_backward_target(self, grid32):
         cfg = CouplingConfig("mean_field", (0.0,))
         st = eigenmode_state(grid32)
@@ -541,6 +566,7 @@ FORCING_CASES = {
     "asymmetric_sinh_a2": lambda g: CouplingConfig("asymmetric_sinh", (4 * np.pi, 3 * np.pi), a=2.0),
     "toda_A2": lambda g: CouplingConfig("toda", (3 * np.pi, 2 * np.pi), matrix=cartan_matrix("A", 2)),
     "toda_G2": lambda g: CouplingConfig("toda", (2 * np.pi, np.pi), matrix=cartan_matrix("G2", 2)),
+    "toda_A2_rho2_zero": lambda g: CouplingConfig("toda", (3 * np.pi, 0.0), matrix=cartan_matrix("A", 2)),
     "sinh_gordon_weighted": lambda g: CouplingConfig(
         "sinh_gordon", (4 * np.pi, 3 * np.pi), weights=weights_of(g)),
     "toda_A2_weighted": lambda g: CouplingConfig(
@@ -549,11 +575,10 @@ FORCING_CASES = {
 
 
 def evaluated_measures(cfg):
-    """The measures the forcing exponentiates: every Toda measure, the
-    scalar ones with rho != 0."""
-    from liouwave.functionals import equation_measures
+    """The measures the forcing exponentiates: those with rho != 0."""
+    from liouwave.rhs import equation_measures
 
-    return [m for m in equation_measures(cfg) if cfg.family == "toda" or m.rho != 0.0]
+    return [m for m in equation_measures(cfg) if m.rho != 0.0]
 
 
 class TestStepperForcing:
@@ -571,7 +596,8 @@ class TestStepperForcing:
         """(forcing, log-normalizers) by plain numpy: each density and each
         log-normalizer taken apart, the latter as max g + log of the
         quadrature of e^(g - max g) for the exponent g."""
-        dens, logz = [], []
+        coupling = cfg.matrix.entries if cfg.family == "toda" else np.ones((1, 1))
+        f, logz = np.zeros(u.shape), []
         for m in evaluated_measures(cfg):
             g = m.sign * (m.scale * u[m.component])
             if m.log_weight is not None:
@@ -579,11 +605,8 @@ class TestStepperForcing:
             top = g.max()
             logz.append(top + float(np.log(grid.cell_area * np.exp(g - top).sum())))
             d = np.exp(g)
-            dens.append(d / grid.integrate(d))
-        if cfg.family == "toda":
-            f = np.einsum("ij,j,jxy->ixy", cfg.matrix.entries, np.asarray(cfg.rho), np.stack(dens))
-        else:
-            f = sum(m.sign * m.rho * d for m, d in zip(evaluated_measures(cfg), dens))[None]
+            for i in range(cfg.ncomp):
+                f[i] += coupling[i, m.component] * m.sign * m.rho * d / grid.integrate(d)
         return f - f.mean(axis=(1, 2), keepdims=True), logz
 
     @pytest.mark.parametrize("case", sorted(FORCING_CASES))
