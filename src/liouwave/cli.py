@@ -31,7 +31,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import blowup, functionals, picard, propagator, rhs
 from .fields import WaveState, random_smooth_field, wave_state_new
@@ -504,9 +503,7 @@ def _evolve_streaming(command, rc, state, out_dir, seed, t0, e0=None, first_step
         "command": command, "status": traj.status, "stop_reason": _stop_text(traj),
         "steps": steps, "wall_s": wall, "steps_per_s": steps / wall,
         "checkpoint_write_s": spent["checkpoint"], "csv_write_s": spent["csv"],
-        "scheme": stepper.scheme, "LIOUWAVE_THREADS": os.environ.get("LIOUWAVE_THREADS"),
-        "python": platform.python_version(), "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scheme": stepper.scheme, "python": platform.python_version(), "numpy": np.__version__,
     }
     with open(os.path.join(out_dir, "telemetry.jsonl"), "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record) + "\n")

@@ -139,8 +139,8 @@ def random_smooth_field(
 def _full_spectrum_norm_h1(grid: SpectralGrid, f: np.ndarray) -> float:
     """H1 norm of f by Parseval over its full complex spectrum: the
     normalization the seeded data were first drawn with, kept so that they
-    stay the same to the bit (`SpectralGrid.norm_h1` sums the half
-    spectrum, in another order)."""
+    stay those data to round-off (`SpectralGrid.norm_h1` sums the half
+    spectrum, in another order); reruns repeat them to the bit."""
     modes = grid.to_spectral(f)
     s = float((grid.lap_symbol * (modes.real**2 + modes.imag**2)).sum())
     return float(np.hypot(float(np.sqrt(grid.area * s)) / (grid.n1 * grid.n2), grid.norm_l2(f)))

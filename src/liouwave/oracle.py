@@ -4,18 +4,23 @@ dense_evolve integrates the first-order system (u, v) in the full discrete
 Fourier eigenbasis with classical RK4 at a far finer resolution than the
 production stepper; direct_ball_mass is the masked-summation counterpart of
 the convolution-based ball-mass map.  Test-scale only: grids are capped at
-16 x 16.  The one economy is that dense_evolve transforms all components in
-one batched call, which gives the same bits as one call per component and
-keeps the acceptance oracle run inside its time budget.
+16 x 16, so dense_evolve transforms all components by dense DFT matrices,
+W1 @ X @ W2: it shares no FFT code with the production stepper, and at
+these sizes the products cost less than FFT calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from .fields import WaveState
 from .surface import SpectralGrid
+
+
+def _dft_matrix(n: int) -> np.ndarray:
+    """The n-point DFT matrix exp(-2*pi*i*k*l/n), with k*l reduced mod n."""
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
 
 
 def dense_evolve(state: WaveState, T: float, rhs_eval, substeps: int,
@@ -34,18 +39,21 @@ def dense_evolve(state: WaveState, T: float, rhs_eval, substeps: int,
         raise ValueError("dense oracle is restricted to grids of at most 16 x 16")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    n = state.ncomp
-    lam = g.lap_symbol
     mask = g.dealias_mask if dealias else None
-    uh = np.stack([g.to_spectral(state.u[i]) for i in range(n)])
-    vh = np.stack([g.to_spectral(state.v[i]) for i in range(n)])
+    w1, w2 = _dft_matrix(g.n1), _dft_matrix(g.n2)
+    w1_inv, w2_inv = w1.conj() / g.n1, w2.conj() / g.n2
 
-    axes = (-2, -1)
-    neg_lam = -lam[None, :, :]
+    def fft2(x):
+        return w1 @ x @ w2
+
+    def ifft2(x):
+        return w1_inv @ x @ w2_inv
+
+    uh, vh = fft2(state.u), fft2(state.v)
+    neg_lam = -g.lap_symbol[None, :, :]
 
     def deriv(uh_in, vh_in):
-        u_phys = scipy.fft.ifft2(uh_in, axes=axes).real
-        fh = scipy.fft.fft2(rhs_eval(u_phys), axes=axes)
+        fh = fft2(rhs_eval(ifft2(uh_in).real))
         if mask is not None:
             fh *= mask
         fh[:, 0, 0] = 0.0
@@ -60,9 +68,7 @@ def dense_evolve(state: WaveState, T: float, rhs_eval, substeps: int,
         uh = uh + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         vh = vh + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
 
-    u = np.stack([g.to_physical(uh[i]) for i in range(n)])
-    v = np.stack([g.to_physical(vh[i]) for i in range(n)])
-    return WaveState(g, state.t + T, u, v)
+    return WaveState(g, state.t + T, ifft2(uh).real, ifft2(vh).real)
 
 
 def direct_ball_mass(grid: SpectralGrid, dens: np.ndarray, center, r: float) -> float:

@@ -33,9 +33,9 @@ the free flow cos*uh + sinc*vh of the position once, for its predictor and
 its final position.  `evolve` then evaluates the forcing at the new u,
 after the step's finiteness checks, and carries it into the next step; that
 is the same arithmetic as evaluating it at the start of the next step.
-Every transform is one batched scipy call over the components, so a
-symmetric step costs 2 rfft + 2 irfft calls whatever the component count
-(the frozen step 1 + 1), plus the one forcing at the initial state.
+Every transform is one batched call over the components, so a symmetric
+step costs 2 rfft + 2 irfft calls whatever the component count (the
+frozen step 1 + 1), plus the one forcing at the initial state.
 Samples read what `evolve` carries: the report and the monitor get the half
 spectra, the physical u and the log-normalizers of the carried forcing, so
 a sample makes no transform and no log-sum-exp for a measure the forcing

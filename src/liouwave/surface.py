@@ -8,34 +8,24 @@ exponential goes through a log-sum-exp path so that fields with values up to
 ~700 in magnitude never overflow.
 
 The stepping and sampling path uses the half (rfft) spectra of stacked
-components, each stack in one batched scipy call.  Every integral of an
-exponential takes one exponential pass, `shifted_exp` (one max, which is
-also the finiteness check, one exp, one sum, into a buffer the caller may
-hold): `normalized_exp`, `log_integral_exp` and the rhs share it.  The H1
-norms and `minus_laplacian` work on half spectra too; the full complex pair
-`to_spectral`/`to_physical` remains for seeded data, the self-check battery
-and the oracle.
+components, each stack in one batched numpy.fft pass per axis.  Every
+integral of an exponential takes one exponential pass, `shifted_exp` (one
+max, which is also the finiteness check, one exp, one sum, into a buffer
+the caller may hold): `normalized_exp`, `log_integral_exp` and the rhs share
+it.  The H1 norms and `minus_laplacian` work on half spectra too; the full
+complex pair `to_spectral`/`to_physical` remains for seeded data and the
+self-check battery.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-import scipy.fft
 
 from . import kernels
 
 TWO_PI = 2.0 * np.pi
-
-
-def _workers() -> int:
-    raw = os.environ.get("LIOUWAVE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _require_finite(values, what="field"):
@@ -113,29 +103,36 @@ class SpectralGrid:
         self.x2 = np.arange(n2) * (self.L2 / n2)
 
     # -- transforms ---------------------------------------------------------
+    # The package's only transform sites, one numpy.fft pass per axis in
+    # the order of pocketfft's 2D transforms (the full pair axis -2 first;
+    # np.fft.fft2 runs axis -1 first), so the half pair keeps their bits.
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Forward FFT of a real field (unnormalized convention)."""
         _require_finite(values)
-        return scipy.fft.fft2(values, workers=_workers())
+        return np.fft.fft(np.fft.fft(values, axis=-2), axis=-1)
 
     def to_physical(self, modes: np.ndarray) -> np.ndarray:
         """Inverse FFT; returns the real part (fields are real-valued)."""
-        return scipy.fft.ifft2(modes, workers=_workers()).real
+        return np.fft.ifft(np.fft.ifft(modes, axis=-2), axis=-1).real
 
     # Half-spectrum pair of the stepping hot path (real fields carry a
     # Hermitian-redundant spectrum; rfft keeps the n2//2+1 unique columns).
+    # A dying run's non-finite spectra raise no warning: its status says so.
 
     def to_spectral_half_stack(self, fields: np.ndarray) -> np.ndarray:
         """Half spectra of a real field or of stacked real fields
-        (..., n1, n2), in one batched rfft over the last two axes (the same
-        bits as one call per component)."""
-        return scipy.fft.rfft2(fields, axes=(-2, -1), workers=_workers())
+        (..., n1, n2), batched over the leading axes (the same bits as one
+        call per component)."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            modes = np.fft.rfft(fields, axis=-1)
+            return np.fft.fft(modes, axis=-2, out=modes)
 
     def to_physical_half_stack(self, modes: np.ndarray) -> np.ndarray:
-        """The real field(s) of half spectra (..., n1, n2//2+1), in one
-        batched irfft."""
-        return scipy.fft.irfft2(modes, s=(self.n1, self.n2), axes=(-2, -1), workers=_workers())
+        """The real field(s) of half spectra (..., n1, n2//2+1), batched
+        over the leading axes."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.fft.irfft(np.fft.ifft(modes, axis=-2), n=self.n2, axis=-1)
 
     def dealias_half(self, modes: np.ndarray) -> np.ndarray:
         """Zero, in place, the modes of half spectra (..., n1, n2//2+1) that

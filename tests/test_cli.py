@@ -1,11 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from liouwave import cli, make_torus_grid, picard, propagator, random_smooth_field, rhs, wave_state_new
+from liouwave.surface import SpectralGrid
 
 BASE_CFG = """
 # deterministic smoke run
@@ -291,7 +293,8 @@ class TestRunScenarios:
             assert rec["steps"] == steps and rec["scheme"] == "symmetric"
             assert rec["steps_per_s"] == pytest.approx(steps / rec["wall_s"])
             assert 0.0 <= rec["checkpoint_write_s"] + rec["csv_write_s"] <= rec["wall_s"]
-            assert {"LIOUWAVE_THREADS", "python", "numpy", "scipy"} <= set(rec)
+            assert {"python", "numpy"} <= set(rec)
+            assert not {"LIOUWAVE_THREADS", "scipy"} & set(rec)
 
     def test_killed_run_leaves_resumable_outputs(self, tmp_path, monkeypatch):
         # a run that dies after its fourth sample (step 30) leaves the CSV
@@ -471,12 +474,14 @@ class TestPicardVerify:
         # fft2 it took 510, the same work in larger calls; solving twice more
         # for the first ratios and stepping the orbit in physical space, with
         # an fft2 per node for its distance, took 1113.
-        counts = dict.fromkeys(("rfft2", "irfft2", "fft2", "ifft2"), 0)
-        for name in counts:
-            def counted(*args, _name=name, _f=getattr(scipy.fft, name), **kwargs):
-                counts[_name] += 1
+        methods = {"to_spectral_half_stack": "rfft2", "to_physical_half_stack": "irfft2",
+                   "to_spectral": "fft2", "to_physical": "ifft2"}
+        counts = dict.fromkeys(methods.values(), 0)
+        for name, kind in methods.items():
+            def counted(*args, _kind=kind, _f=getattr(SpectralGrid, name), **kwargs):
+                counts[_kind] += 1
                 return _f(*args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, counted)
+            monkeypatch.setattr(SpectralGrid, name, counted)
         _, rep = self.run(tmp_path, PICARD_BENCH_CFG)
         assert rep["iterations"] == "4"
         assert counts == {"rfft2": 255, "irfft2": 352, "fft2": 1, "ifft2": 2}
@@ -513,3 +518,13 @@ class TestMain:
         code = cli.main(["resume", str(out / "checkpoint_step00000020.lwav")])
         assert code == 1
         assert "missing checkpoint metadata" in capsys.readouterr().err
+
+    def test_import_loads_no_scipy(self):
+        # the package's one FFT library is numpy.fft: importing the package
+        # and its command line loads no scipy module
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = ("import sys, liouwave, liouwave.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"

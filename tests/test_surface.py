@@ -1,8 +1,8 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,15 +88,27 @@ class TestTransforms:
         assert np.abs(back - f).max() <= 1e-13 * np.abs(f).max()
 
     def test_batched_half_transforms_match_per_component(self, rng):
-        # one rfft/irfft call over the stack gives the bits of one call per
-        # component
+        # one rfft/irfft over the stack gives the bits of one call per
+        # component, and the bits of scipy.fft's 2D half transforms
+        scipy_fft = pytest.importorskip("scipy.fft")
         g = make_torus_grid(128, 128)
         f = rng.standard_normal((2, 128, 128))
         modes = g.to_spectral_half_stack(f)
         assert modes.shape == (2, 128, 65)
-        assert np.array_equal(modes, np.stack([scipy.fft.rfft2(c) for c in f]))
+        assert np.array_equal(modes, np.stack([scipy_fft.rfft2(c) for c in f]))
         back = g.to_physical_half_stack(modes)
-        assert np.array_equal(back, np.stack([scipy.fft.irfft2(m, s=(128, 128)) for m in modes]))
+        assert np.array_equal(back, np.stack([scipy_fft.irfft2(m, s=(128, 128)) for m in modes]))
+
+    def test_half_transforms_of_nonfinite_spectra_warn_nothing(self, grid32):
+        # a dying run transforms non-finite or overflowing spectra, and its
+        # status, not a floating point warning, reports it
+        modes = np.full((2, 32, 17), 1e308, dtype=complex)
+        modes[1, 2, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = grid32.to_physical_half_stack(modes)
+            again = grid32.to_spectral_half_stack(back)
+        assert not np.isfinite(back[0]).all() and not np.isfinite(again[1]).all()
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
