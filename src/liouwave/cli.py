@@ -467,9 +467,16 @@ def _write_checkpoint(out_dir, step_index, state, t0, e0, seed):
 def _evolve_streaming(command, rc, state, out_dir, seed, t0, e0=None, first_step_index=0):
     """`evolve` the config's flow from `state` with its outputs written as
     the run goes: a CSV row per sample and each checkpoint as it is reached.
-    Appends one line to telemetry.jsonl.  Returns (trajectory, E0); E0 is
-    the first sample's energy unless given."""
+    Appends two lines to telemetry.jsonl: a start record, flushed before
+    the first step, so that a killed run leaves a trace of what it was, and
+    an end record with the run's status and timing.  Returns (trajectory,
+    E0); E0 is the first sample's energy unless given."""
     stepper = build_stepper(rc)
+    _append_telemetry(out_dir, {
+        "event": "start", "command": command, "grid": [rc["grid.n1"], rc["grid.n2"]],
+        "family": rc.family, "scheme": stepper.scheme, "T": rc["T"], "h": stepper.h,
+        "first_step_index": first_step_index,
+    })
     csv = TimeseriesWriter(os.path.join(out_dir, "timeseries.csv"), e0)
     spent = {"csv": 0.0, "checkpoint": 0.0}
 
@@ -499,15 +506,20 @@ def _evolve_streaming(command, rc, state, out_dir, seed, t0, e0=None, first_step
             csv.close(traj.status, traj.concentration)
     wall = time.perf_counter() - start
     steps = int(round((traj.final_state.t - state.t) / stepper.h))
-    record = {
-        "command": command, "status": traj.status, "stop_reason": _stop_text(traj),
+    _append_telemetry(out_dir, {
+        "event": "end", "command": command, "status": traj.status, "stop_reason": _stop_text(traj),
         "steps": steps, "wall_s": wall, "steps_per_s": steps / wall,
         "checkpoint_write_s": spent["checkpoint"], "csv_write_s": spent["csv"],
         "scheme": stepper.scheme, "python": platform.python_version(), "numpy": np.__version__,
-    }
+    })
+    return traj, csv.e0
+
+
+def _append_telemetry(out_dir, record):
+    """Append one JSON line to telemetry.jsonl and close the file, so the
+    line is written out when this returns."""
     with open(os.path.join(out_dir, "telemetry.jsonl"), "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record) + "\n")
-    return traj, csv.e0
 
 
 def _stop_text(traj):

@@ -17,10 +17,11 @@ so node j+1 of F(p) waits in a one-node buffer until p[j+1] has been read,
 for its distance and its forcing, and is then stored over it.  Distances are
 taken node by node (`_NodeDistance`: one product of the float view of a
 node's difference with the grid's interleaved Parseval weights), with no
-whole-path temporaries.  `picard_solve` builds its returned states one node
-at a time, and its report keeps the path's half spectra, against which
-picard-verify compares the stepper's orbit by the same per-node distance
-(`sup_h1_distance`) without transforming the states back.
+whole-path temporaries.  The path stays in mode space: `picard_solve`
+returns its nodes as a read-only sequence of states, each transformed when
+it is read (`_States`, a view of the report's `path`), and picard-verify
+compares the stepper's orbit with the path's half spectra by the same
+per-node distance (`sup_h1_distance`), transforming no node back.
 
 The first contraction ratio has one definition, `_first_ratio`: the sup over
 the nodes of d(F^2 u, F u) over that of d(F u, u), from the free path u.
@@ -34,6 +35,8 @@ a grid of its own.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +116,27 @@ class _NodeDistance:
     def __call__(self, au, av, bu, bv) -> float:
         """(H1 distance of u) + (L2 distance of v)."""
         return self.h1(au, bu) + self._distance(av, bv, self.l2w)
+
+
+class _States(Sequence):
+    """A path's nodes as WaveStates, read-only: node j, at time t0 + j*h, is
+    transformed from the path's half spectra when it is read (two inverse
+    transforms), so no physical copy of the path is held.  A view of the
+    path: it reads the spectra as they are at the time of the read."""
+
+    __slots__ = ("grid", "t0", "h", "path")
+
+    def __init__(self, grid, t0, h, path: _Path):
+        self.grid, self.t0, self.h, self.path = grid, t0, h, path
+
+    def __len__(self):
+        return self.path.uh.shape[0]
+
+    def __getitem__(self, j):
+        j = range(len(self))[operator.index(j)]
+        g = self.grid
+        return WaveState(g, self.t0 + j * self.h, g.to_physical_half_stack(self.path.uh[j]),
+                         g.to_physical_half_stack(self.path.vh[j]))
 
 
 def _node_distances(grid, a: _Path, b: _Path) -> np.ndarray:
@@ -227,15 +251,16 @@ def picard_solve(
     """Iterate the solution map on the fixed time grid until the sup distance
     between successive iterates falls below tol.
 
-    Returns (states, report): the converged discrete path as WaveStates and
-    the PicardReport with per-iteration contraction ratios and the first
-    two corrections' per-node distances (one more iteration is made, and
-    not counted, when the solve stops after one).  Three consecutive
-    ratios >= 1 abort with converged=False (shrink T).
+    Returns (states, report): the converged discrete path, as a read-only
+    sequence of its m+1 WaveStates (`_States`: `len`, integer indexes,
+    repeated iteration), each transformed from `report.path` when it is
+    read, and the PicardReport with per-iteration contraction ratios and
+    the first two corrections' per-node distances (one more iteration is
+    made, and not counted, when the solve stops after one).  Three
+    consecutive ratios >= 1 abort with converged=False (shrink T).
     """
     if not (T > 0 and h > 0 and tol > 0):
         raise ValueError("T, h and tol must be positive")
-    g = state.grid
     m = max(1, int(round(T / h)))
     path, iterates = _free_path_iterates(state, cfg, h, m, dealias)
 
@@ -264,12 +289,6 @@ def picard_solve(
         path = _Path(path.uh.copy(), path.vh.copy())
         first = _first_distances(iterates, first)
 
-    u = np.empty((m + 1,) + state.u.shape)
-    v = np.empty_like(u)
-    for j in range(m + 1):
-        u[j] = g.to_physical_half_stack(path.uh[j])
-        v[j] = g.to_physical_half_stack(path.vh[j])
-    states = [WaveState(g, state.t + j * h, u[j], v[j]) for j in range(m + 1)]
     report = PicardReport(
         R=picard_radius(state),
         T=m * h,
@@ -280,7 +299,7 @@ def picard_solve(
         first_distances=tuple(first),
         path=path,
     )
-    return states, report
+    return _States(state.grid, state.t, h, path), report
 
 
 def first_contraction_ratio(state, cfg, T, steps=32, dealias=True) -> float:

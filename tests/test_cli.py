@@ -28,6 +28,14 @@ checkpoint_every = 20
 """
 
 
+def _telemetry(out_dir):
+    """The (start, end) records of the one run or resume in out_dir."""
+    lines = (out_dir / "telemetry.jsonl").read_text().splitlines()
+    start, end = (json.loads(line) for line in lines)
+    assert (start["event"], end["event"]) == ("start", "end")
+    return start, end
+
+
 class TestParseConfig:
     def test_valid_minimal(self):
         rc = cli.parse_config("family = sinh_gordon\nrho1 = 12.566\nrho2 = 12.566\n")
@@ -276,8 +284,8 @@ class TestRunScenarios:
         value, _, t = rest.partition(" at t = ")
         assert condition == "max_abs_u" and float(value) >= 0.1
         assert t == report["final_t"]
-        (line,) = (out / "telemetry.jsonl").read_text().splitlines()
-        assert json.loads(line)["stop_reason"] == report["stop_reason"]
+        _, end = _telemetry(out)
+        assert end["stop_reason"] == report["stop_reason"]
 
     def test_telemetry_line_per_command(self, tmp_path):
         rc = cli.parse_config(BASE_CFG)
@@ -285,9 +293,12 @@ class TestRunScenarios:
         assert cli.run(rc, str(out)) == 0
         res = tmp_path / "resumed"
         assert cli._run_resume(str(out / "checkpoint_step00000020.lwav"), str(res)) == 0
-        for d, command, steps in ((out, "run", 50), (res, "resume", 30)):
-            (line,) = (d / "telemetry.jsonl").read_text().splitlines()
-            rec = json.loads(line)
+        for d, command, steps, first in ((out, "run", 50, 0), (res, "resume", 30, 20)):
+            start, rec = _telemetry(d)
+            assert start == {
+                "event": "start", "command": command, "grid": [32, 32], "family": "sinh_gordon",
+                "scheme": "symmetric", "T": rc["T"], "h": rc["h"], "first_step_index": first,
+            }
             assert (rec["command"], rec["status"]) == (command, "completed")
             assert rec["stop_reason"] == "none"
             assert rec["steps"] == steps and rec["scheme"] == "symmetric"
@@ -329,6 +340,10 @@ class TestRunScenarios:
         assert [len(r.split(b",")) for r in partial.split(b"\n")[:-1]] == [len(cli.CSV_COLUMNS)] * 5
         assert sorted(p.name for p in killed.glob("checkpoint_*")) == [
             "checkpoint_step00000020.json", "checkpoint_step00000020.lwav"]
+        # the start record is on file before the first step; no end record
+        (line,) = (killed / "telemetry.jsonl").read_text().splitlines()
+        start = json.loads(line)
+        assert (start["event"], start["command"], start["first_step_index"]) == ("start", "run", 0)
         resumed = tmp_path / "resumed"
         ckpt = killed / "checkpoint_step00000020.lwav"
         assert cli.main(["resume", str(ckpt), "--out", str(resumed)]) == 0
@@ -467,13 +482,10 @@ class TestPicardVerify:
         assert float(first["sup_h1_vs_stepper"]) > 1e-8
 
     def test_transform_count(self, tmp_path, monkeypatch):
-        # one solve of 4 iterations on 50 steps, 2 + 4*(50 + 50) real transforms
-        # and 2 per node for the states (2*51); one frozen orbit, 2 + 50 + 50;
-        # 1 rfft2 for the radius; full transforms: 2 ifft2 + 1 fft2 for the
-        # data.  With the states from 2 batched inverses and the radius by an
-        # fft2 it took 510, the same work in larger calls; solving twice more
-        # for the first ratios and stepping the orbit in physical space, with
-        # an fft2 per node for its distance, took 1113.
+        # one solve of 4 iterations on 50 steps, 2 + 4*(50 + 50) real
+        # transforms; one frozen orbit, 2 + 50 + 50; 1 rfft2 for the radius;
+        # full transforms: 2 ifft2 + 1 fft2 for the data.  The solve's states
+        # are transformed only when read, and picard-verify reads none.
         methods = {"to_spectral_half_stack": "rfft2", "to_physical_half_stack": "irfft2",
                    "to_spectral": "fft2", "to_physical": "ifft2"}
         counts = dict.fromkeys(methods.values(), 0)
@@ -484,7 +496,7 @@ class TestPicardVerify:
             monkeypatch.setattr(SpectralGrid, name, counted)
         _, rep = self.run(tmp_path, PICARD_BENCH_CFG)
         assert rep["iterations"] == "4"
-        assert counts == {"rfft2": 255, "irfft2": 352, "fft2": 1, "ifft2": 2}
+        assert counts == {"rfft2": 255, "irfft2": 250, "fft2": 1, "ifft2": 2}
 
 
 class TestMain:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,58 @@ class TestOnePathBuffer:
         assert not rep.converged and rep.iterations < 12
         assert all(r >= 1.0 for r in rep.contraction_ratios[-3:])
         self.check_last_counted(grid32, st, states, rep, 0.5)
+
+
+class TestStates:
+    """The solve returns its path as states transformed from `report.path`
+    when read, and holds no physical copy of the path."""
+
+    def test_no_physical_copy_of_the_path(self, grid32):
+        # the solve plus one pass over its states peaks at the spectral path
+        # and scratch, less than half the physical path's (m+1)*2*n1*n2*8 B
+        # on top of it
+        st = small_state(grid32)
+        picard_solve(st, SG, 0.05, 1e-3)  # first-call allocations not measured
+        tracemalloc.start()
+        try:
+            states, rep = picard_solve(st, SG, 0.05, 1e-3)
+            for _ in states:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = 50
+        spectral = rep.path.uh.nbytes + rep.path.vh.nbytes
+        physical = (m + 1) * 2 * 32 * 32 * 8
+        assert len(states) == m + 1 and rep.path.uh.shape[0] == m + 1
+        assert peak < spectral + physical // 2
+
+    def test_length_times_and_indexes(self, grid32):
+        base = small_state(grid32)
+        st = wave_state_new(grid32, base.u, base.v, 0.3)
+        states, rep = picard_solve(st, SG, 0.05, 1e-3)
+        m = 50
+        assert len(states) == m + 1
+        assert states[-1].t == st.t + rep.T
+        assert [s.t for s in states] == [st.t + j * 1e-3 for j in range(m + 1)]
+        for j in (0, 7, m):
+            assert np.array_equal(states[j - m - 1].u, states[j].u)
+            assert np.array_equal(states[j - m - 1].v, states[j].v)
+        for j in (m + 1, -m - 2):
+            with pytest.raises(IndexError):
+                states[j]
+        with pytest.raises(TypeError):
+            states[1:3]
+
+    def test_passes_are_bit_identical(self, grid32):
+        st = small_state(grid32)
+        states, _ = picard_solve(st, SG, 0.05, 1e-3)
+        first = [(s.u, s.v) for s in states]
+        second = [(s.u, s.v) for s in states]
+        assert len(first) == len(second) == len(states)
+        for (u1, v1), (u2, v2) in zip(first, second):
+            assert u1 is not u2
+            assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
 
 
 class TestPicardSolve:
