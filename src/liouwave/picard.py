@@ -8,20 +8,26 @@ ratios between successive iterates estimate the contraction factor, which
 shrinks roughly linearly with T.  Every iterate preserves the component
 averages of the initial data.
 
-Paths are held as half (rfft) spectra, and F runs through the propagator's
-per-mode update: the time-h factors and the masked forcing of a
-`propagator.Stepper` (`factors`, `forcing`) and `kernels.gautschi_combine`,
-the same ones `evolve` and `linear_flow` step with.  The iterates live in one
-path buffer: F is causal (node j+1 of F(p) depends on nodes 0..j of p only),
-so node j+1 of F(p) waits in a one-node buffer until p[j+1] has been read,
-for its distance and its forcing, and is then stored over it.  Distances are
-taken node by node (`_NodeDistance`: one product of the float view of a
-node's difference with the grid's interleaved Parseval weights), with no
-whole-path temporaries.  The path stays in mode space: `picard_solve`
-returns its nodes as a read-only sequence of states, each transformed when
-it is read (`_States`, a view of the report's `path`), and picard-verify
-compares the stepper's orbit with the path's half spectra by the same
-per-node distance (`sup_h1_distance`), transforming no node back.
+F runs through the propagator's per-mode update: the time-h factors and
+the masked forcing of a `propagator.Stepper` (`factors`, `forcing`) and
+`kernels.gautschi_combine`, the same ones `evolve` and `linear_flow` step
+with.  A path is held as what fixes it (`_Path`): node 0's half (rfft)
+spectra and, for each step, the forcing spectrum the step was taken with,
+of which only the kept two-thirds band is stored when the forcing is
+dealiased (58 KB per node against 266 KB for a node's (uh, vh) at 128^2).
+A node is read by replaying the combine from node 0, bit for bit the node
+the solve computed.  The iterates overwrite one path: F is causal (node j+1
+of F(p) depends on nodes 0..j of p only), so the old path p is replayed and
+the new one advanced side by side, each in one-node buffers, and step j's
+slot takes its new forcing once p[j+1] has been replayed from the old one
+(`_correction`).  Distances are taken node by node (`_NodeDistance`: one
+product of the float view of a node's difference with the grid's
+interleaved Parseval weights), with no whole-path temporaries.
+`picard_solve` returns the nodes as a read-only sequence of states,
+replayed and transformed when read (`_States`, a view of the report's
+`path`), and picard-verify compares the stepper's orbit with the replayed
+half spectra by the same per-node distance (`sup_h1_distance`),
+transforming no node back.
 
 The first contraction ratio has one definition, `_first_ratio`: the sup over
 the nodes of d(F^2 u, F u) over that of d(F u, u), from the free path u.
@@ -38,6 +44,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -57,7 +64,8 @@ class PicardReport:
     `first_distances` holds the per-node distances d(F u, u) and
     d(F^2 u, F u) of the first two corrections from the free path u (the
     second is left out when the first vanishes), and `path` the returned
-    path's half spectra."""
+    path: node 0's half spectra and each step's kept forcing block
+    (`_Path`), whose nodes `path.nodes()` replays."""
 
     R: float
     T: float
@@ -83,13 +91,54 @@ def picard_radius(state: WaveState) -> float:
 
 
 class _Path:
-    """Spectral trajectory of one Picard iterate: modes at every node."""
+    """One Picard iterate, held as what fixes it: node 0's half spectra
+    (u0h, v0h), shaped (ncomp, n1, n2//2+1), and for each step j the kept
+    block of the masked forcing spectrum that step was taken with.  With
+    the two-thirds mask that block is rows |k1| <= n1//3 and columns
+    k2 <= n2//3, the only modes the mask keeps; without it, the whole half
+    spectrum.  Built with zero forcing, it is the free path.
 
-    __slots__ = ("uh", "vh")
+    Nodes are read by replaying the step from node 0 (`nodes`), which gives
+    bit for bit the nodes the solve computed: a dropped mode's forcing is
+    an exact zero, in the stored step and in the replay."""
 
-    def __init__(self, uh, vh):
-        self.uh = uh  # (m+1, ncomp, n1, n2//2+1) complex half spectra
-        self.vh = vh
+    __slots__ = ("u0h", "v0h", "factors", "forcing", "_rows", "_cols")
+
+    def __init__(self, step: Stepper, u0h, v0h, m):
+        g = step.grid
+        self.u0h, self.v0h, self.factors = u0h, v0h, step.factors
+        head, tail, cols = ((g.n1 // 3 + 1, g.n1 // 3, g.n2 // 3 + 1) if step.dealias
+                            else (g.n1, 0, g.n2 // 2 + 1))
+        # (rows of a stored block, the node's rows they hold): k1 >= 0, k1 < 0
+        self._rows = ((slice(0, head), slice(0, head)),
+                      (slice(head, head + tail), slice(g.n1 - tail, g.n1)))
+        self._cols = slice(0, cols)
+        self.forcing = np.zeros((m, u0h.shape[0], head + tail, cols), dtype=np.complex128)
+
+    @property
+    def m(self) -> int:
+        return self.forcing.shape[0]
+
+    def store(self, j, fh):
+        """Keep the forcing half spectra `fh` step j is taken with."""
+        for block, node in self._rows:
+            self.forcing[j, :, block] = fh[:, node, self._cols]
+
+    def nodes(self):
+        """Nodes 0..m as (uh, vh), replayed from node 0 by
+        `kernels.gautschi_combine` with each step's forcing expanded into a
+        zeroed node buffer.  A node's arrays are overwritten two reads
+        later, so a reader that keeps a node copies it."""
+        uh, vh = self.u0h, self.v0h
+        yield uh, vh
+        fh, tmp = np.zeros_like(uh), np.empty_like(uh)
+        out, spare = (np.empty_like(uh), np.empty_like(vh)), (np.empty_like(uh), np.empty_like(vh))
+        for j in range(self.m):
+            for block, node in self._rows:
+                fh[:, node, self._cols] = self.forcing[j, :, block]
+            kernels.gautschi_combine(*self.factors, uh, vh, fh, *out, tmp=tmp)
+            (uh, vh), out, spare = out, spare, out
+            yield uh, vh
 
 
 class _NodeDistance:
@@ -120,9 +169,10 @@ class _NodeDistance:
 
 class _States(Sequence):
     """A path's nodes as WaveStates, read-only: node j, at time t0 + j*h, is
-    transformed from the path's half spectra when it is read (two inverse
-    transforms), so no physical copy of the path is held.  A view of the
-    path: it reads the spectra as they are at the time of the read."""
+    replayed from the path's node 0 and transformed when it is read (two
+    inverse transforms), so neither the nodes nor a physical copy of them
+    are held.  Iteration replays the path once; an index j replays j steps.
+    A view of the path: it reads it as it is at the time of the read."""
 
     __slots__ = ("grid", "t0", "h", "path")
 
@@ -130,102 +180,87 @@ class _States(Sequence):
         self.grid, self.t0, self.h, self.path = grid, t0, h, path
 
     def __len__(self):
-        return self.path.uh.shape[0]
+        return self.path.m + 1
+
+    def _state(self, j, uh, vh):
+        g = self.grid
+        return WaveState(g, self.t0 + j * self.h, g.to_physical_half_stack(uh),
+                         g.to_physical_half_stack(vh))
 
     def __getitem__(self, j):
         j = range(len(self))[operator.index(j)]
-        g = self.grid
-        return WaveState(g, self.t0 + j * self.h, g.to_physical_half_stack(self.path.uh[j]),
-                         g.to_physical_half_stack(self.path.vh[j]))
+        return self._state(j, *next(islice(self.path.nodes(), j, None)))
 
-
-def _node_distances(grid, a: _Path, b: _Path) -> np.ndarray:
-    """Per node, (H1 distance of u) + (L2 distance of v) (`_NodeDistance`)."""
-    dist = _NodeDistance(grid, a.uh.shape[1:])
-    return np.array([dist(a.uh[j], a.vh[j], b.uh[j], b.vh[j]) for j in range(a.uh.shape[0])])
-
-
-def _path_distance(grid, a: _Path, b: _Path) -> float:
-    """sup over nodes of `_node_distances`."""
-    return float(_node_distances(grid, a, b).max())
+    def __iter__(self):
+        for j, (uh, vh) in enumerate(self.path.nodes()):
+            yield self._state(j, uh, vh)
 
 
 def sup_h1_distance(grid, path, state0, cfg, h, dealias):
     """sup over the Picard time grid of the H1 distance between the u of
-    `path` (a Picard path's half spectra) and the frozen-scheme orbit started
-    from the same data, which picard-verify reports.  The orbit is stepped
-    as `evolve` steps it, carried in mode space through `Stepper.step` (per
-    node one forward transform of the forcing and one inverse transform of
-    the new u), and each distance is the Picard solve's per-node H1
-    distance (`_NodeDistance`) on the half spectra."""
+    `path` (a Picard path, its nodes replayed) and the frozen-scheme orbit
+    started from the same data, which picard-verify reports.  The orbit is
+    stepped as `evolve` steps it, carried in mode space through
+    `Stepper.step` (per node one forward transform of the forcing and one
+    inverse transform of the new u), and each distance is the Picard
+    solve's per-node H1 distance (`_NodeDistance`) on the half spectra."""
     step = Stepper(grid, h, cfg, "frozen", dealias)
     u = state0.u
     uh, vh = grid.to_spectral_half_stack(u), grid.to_spectral_half_stack(state0.v)
     dist = _NodeDistance(grid, uh.shape)
-    sup = dist.h1(path.uh[0], uh)
-    for k in range(1, path.uh.shape[0]):
+    nodes = path.nodes()
+    sup = dist.h1(next(nodes)[0], uh)
+    for path_uh, _ in nodes:
         uh, vh, u = step.step(uh, vh, step.forcing(u))
-        sup = max(sup, dist.h1(path.uh[k], uh))
+        sup = max(sup, dist.h1(path_uh, uh))
     return sup
 
 
-def _free_path(u0h, v0h, factors, m) -> _Path:
-    """The solution map with zero forcing: the free flow at the nodes."""
-    uh = np.empty((m + 1,) + u0h.shape, dtype=np.complex128)
-    vh = np.empty_like(uh)
-    uh[0], vh[0] = u0h, v0h
-    zero, tmp = np.zeros_like(u0h), np.empty_like(u0h)
-    for j in range(m):
-        kernels.gautschi_combine(*factors, uh[j], vh[j], zero, uh[j + 1], vh[j + 1], tmp=tmp)
-    return _Path(uh, vh)
+def _correction(path: _Path, step: Stepper, store: bool = True):
+    """Applies the solution map F to the path p and returns, per node, the
+    distance of F(p) to p (0 at node 0, the initial data in every iterate).
+
+    F(p) starts from p's node 0 and steps node j with the forcing frozen at
+    p[j].  The previous iterate p (replayed) and the new one advance side by
+    side, node by node in buffers of their own.  With `store`, F(p) is kept
+    over p: F is causal, so slot j takes the forcing of step j once p[j+1]
+    has been replayed from the old one.  Without it p is only read."""
+    grid = step.grid
+    old = path.nodes()
+    pu, _ = next(old)
+    uh, vh = path.u0h, path.v0h
+    tmp = np.empty_like(uh)
+    out, spare = (np.empty_like(uh), np.empty_like(vh)), (np.empty_like(uh), np.empty_like(vh))
+    dist = _NodeDistance(grid, uh.shape)
+    d = np.zeros(path.m + 1)
+    for j in range(path.m):
+        fh, _ = step.forcing(grid.to_physical_half_stack(pu))
+        kernels.gautschi_combine(*step.factors, uh, vh, fh, *out, tmp=tmp)
+        (uh, vh), out, spare = out, spare, out
+        pu, pv = next(old)
+        d[j + 1] = dist(uh, vh, pu, pv)
+        if store:
+            path.store(j, fh)
+    return d
 
 
-def _iterates(path: _Path, step: Stepper):
-    """The Picard iterates F(p), F^2(p), ... of the path p, each written over
-    p's own buffer, with its per-node distances to the iterate before.
-
-    F(p) starts from p's node 0, the initial data, and steps node j with
-    the forcing frozen at p[j].  Node j+1 of F(p) waits in a one-node buffer
-    while p[j+1] is read for its distance and then for its forcing, and is
-    stored over p[j+1] before the next combine reads it."""
-    grid, m = step.grid, path.uh.shape[0] - 1
-    node_uh, node_vh, tmp = (np.empty_like(path.uh[0]) for _ in range(3))
-    dist = _NodeDistance(grid, node_uh.shape)
-    while True:
-        d = np.zeros(m + 1)  # node 0 is the initial data in every iterate
-        for j in range(m):
-            fh, _ = step.forcing(grid.to_physical_half_stack(path.uh[j]))
-            if j > 0:
-                path.uh[j], path.vh[j] = node_uh, node_vh
-            kernels.gautschi_combine(*step.factors, path.uh[j], path.vh[j], fh, node_uh, node_vh,
-                                     tmp=tmp)
-            d[j + 1] = dist(node_uh, node_vh, path.uh[j + 1], path.vh[j + 1])
-        path.uh[m], path.vh[m] = node_uh, node_vh
-        yield path, d
-
-
-def _free_path_iterates(state, cfg, h, m, dealias):
-    """The free path on m steps of h from the state's data, and its Picard
-    iterates (`_iterates`), which overwrite it."""
+def _initial_iterate(state, cfg, h, m, dealias):
+    """The free path on m steps of h from the state's data (zero forcing),
+    and the frozen stepper of its solution map."""
     g = state.grid
     step = Stepper(g, h, cfg, "frozen", dealias)
     u0h, v0h = g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v)
-    path = _free_path(u0h, v0h, step.factors, m)
-    return path, _iterates(path, step)
+    return _Path(step, u0h, v0h, m), step
 
 
-def _first_complete(first) -> bool:
-    """Whether `first` holds the per-node distances of both first
-    corrections, or of the first alone when it vanishes."""
-    return len(first) == 2 or (len(first) == 1 and float(first[0].max()) <= _VANISHING)
-
-
-def _first_distances(iterates, taken=()) -> tuple:
-    """Per-node distances of the first two corrections: those `taken`
-    already, completed from `iterates`."""
-    first = list(taken)
-    while not _first_complete(first):
-        first.append(next(iterates)[1])
+def _first_distances(first, path: _Path, step: Stepper) -> tuple:
+    """The per-node distances of the first two corrections from the free
+    path: `first`, those of the iterations counted so far (at least one),
+    completed, when it holds only the first and that does not vanish, by
+    the second correction, read off the last iterate `path` without
+    storing it."""
+    if len(first) == 1 and float(first[0].max()) > _VANISHING:
+        first = [*first, _correction(path, step, store=False)]
     return tuple(first)
 
 
@@ -253,16 +288,19 @@ def picard_solve(
 
     Returns (states, report): the converged discrete path, as a read-only
     sequence of its m+1 WaveStates (`_States`: `len`, integer indexes,
-    repeated iteration), each transformed from `report.path` when it is
-    read, and the PicardReport with per-iteration contraction ratios and
-    the first two corrections' per-node distances (one more iteration is
-    made, and not counted, when the solve stops after one).  Three
-    consecutive ratios >= 1 abort with converged=False (shrink T).
+    repeated iteration), each replayed from `report.path` and transformed
+    when it is read, and the PicardReport with per-iteration contraction
+    ratios and the first two corrections' per-node distances (when the
+    solve stops after one iteration, the second is read off the path
+    without being counted or kept).  Three consecutive ratios >= 1 abort
+    with converged=False (shrink T).
     """
     if not (T > 0 and h > 0 and tol > 0):
         raise ValueError("T, h and tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     m = max(1, int(round(T / h)))
-    path, iterates = _free_path_iterates(state, cfg, h, m, dealias)
+    path, step = _initial_iterate(state, cfg, h, m, dealias)
 
     ratios = []
     distances = []
@@ -270,7 +308,7 @@ def picard_solve(
     converged = False
     rising = 0
     for _ in range(max_iter):
-        path, node_d = next(iterates)
+        node_d = _correction(path, step)
         d = float(node_d.max())
         if len(first) < 2:
             first.append(node_d)
@@ -284,19 +322,14 @@ def picard_solve(
             break
         if rising >= 3:
             break
-    if not _first_complete(first):
-        # the uncounted second correction is drawn over the path buffer
-        path = _Path(path.uh.copy(), path.vh.copy())
-        first = _first_distances(iterates, first)
-
     report = PicardReport(
         R=picard_radius(state),
         T=m * h,
         iterations=len(distances),
         contraction_ratios=ratios,
         converged=converged,
-        final_distance=distances[-1] if distances else 0.0,
-        first_distances=tuple(first),
+        final_distance=distances[-1],
+        first_distances=_first_distances(first, path, step),
         path=path,
     )
     return _States(state.grid, state.t, h, path), report
@@ -305,8 +338,8 @@ def picard_solve(
 def first_contraction_ratio(state, cfg, T, steps=32, dealias=True) -> float:
     """d(F^2 u, F u) / d(F u, u) starting from the free path on `steps` steps
     of T/steps; 0 for data whose first correction already vanishes."""
-    _, iterates = _free_path_iterates(state, cfg, T / steps, steps, dealias)
-    return _first_ratio(_first_distances(iterates))
+    path, step = _initial_iterate(state, cfg, T / steps, steps, dealias)
+    return _first_ratio(_first_distances([_correction(path, step)], path, step))
 
 
 def picard_time(

@@ -11,7 +11,8 @@ obey exactly ubar+ = ubar + h*vbar with vbar constant.
 
 One object, `Stepper`, is behind every step.  It holds the time-h factors
 of `_mode_factors` (the one builder of the per-mode factors, on the half
-(rfft) columns), whether the forcing is dealiased, and the buffers of the
+(rfft) columns), cast once to complex128 as every product with a spectrum
+would cast them, whether the forcing is dealiased, and the buffers of the
 step and of the forcing, and `kernels.gautschi_combine` applies the update
 to the stacked half spectra of all components in one call.  `evolve`,
 `duhamel_step`, `linear_flow`, the Picard solution map and picard-verify's
@@ -20,7 +21,8 @@ orbit all run through it.
 The forcing has one path, `Stepper.forcing(u) -> (fh, logz)`.  For the
 equation's `CouplingConfig` it is `rhs_fields` writing into the stepper's
 physical buffer (one exponential pass per measure with rho != 0 into a
-slice of its own, one coupling-matrix product, no mean subtraction), then
+slice of its own, one coupling-matrix product or, for the scalar families,
+a scale-and-add into the first slice, no mean subtraction), then
 one batched rfft, the mask and the removal of the zero mode, which is the
 one place the forcing's constant is dropped; logz are the log-normalizers
 of its measures.  A plain callable forcing (the
@@ -76,7 +78,7 @@ from .fields import (
     WaveState,
 )
 from .functionals import evaluate_report
-from .rhs import CouplingConfig, DynamicRangeError, rhs_fields
+from .rhs import CouplingConfig, DynamicRangeError, rhs_fields, work_slices
 from .surface import SpectralGrid
 
 SCHEMES = ("frozen", "symmetric")
@@ -132,10 +134,11 @@ class Stepper:
     `rhs_fields` writes into a buffer the stepper keeps, with the
     log-normalizers of its measures; or any map of stacked physical
     components to forcing fields (log-normalizers None), as `duhamel_step`
-    and `linear_flow` take.  `factors` are the time-h `_mode_factors`;
-    `dealias` applies the two-thirds mask to the forcing
-    (`grid.dealias_half`).  The buffers are allocated on first use, and
-    again when the shape of what they hold changes."""
+    and `linear_flow` take.  `factors` are the time-h `_mode_factors` as
+    complex128 arrays (the same bits in every product with a spectrum,
+    without a cast per product); `dealias` applies the two-thirds mask to
+    the forcing (`grid.dealias_half`).  The buffers are allocated on first
+    use, and again when the shape of what they hold changes."""
 
     def __init__(self, grid: SpectralGrid, h: float, rhs, scheme: str = "symmetric",
                  dealias: bool = True):
@@ -144,7 +147,7 @@ class Stepper:
         self.grid = grid
         self.rhs = rhs
         self.scheme = scheme
-        self.factors = _mode_factors(grid, float(h))
+        self.factors = tuple(f.astype(np.complex128) for f in _mode_factors(grid, float(h)))
         self.dealias = dealias
         self._buffers = None
         self._physical = None
@@ -157,9 +160,9 @@ class Stepper:
         logz the log-normalizers of its measures (None for a callable
         `rhs`).  Raises `DynamicRangeError` where `rhs_fields` does."""
         if isinstance(self.rhs, CouplingConfig):
-            # the forcing's components, then one slice per measure
+            # the forcing's components, then the work slices of the measures
             n = self.rhs.ncomp
-            shape = (n + self.rhs.ncomp_measures,) + u.shape[1:]
+            shape = (n + work_slices(self.rhs),) + u.shape[1:]
             if self._physical is None or self._physical.shape != shape:
                 self._physical = np.empty(shape)
             f, logz = rhs_fields(self.grid, u, self.rhs, return_log_normalizers=True,
@@ -265,7 +268,8 @@ def evolve(
         n_steps = stepper.max_steps
 
     traj = Trajectory()
-    u, v = state.u.copy(), state.v.copy()
+    # read, never written: each step makes new u and v
+    u, v = state.u, state.v
     uh, vh = g.to_spectral_half_stack(u), g.to_spectral_half_stack(v)
     # the forcing at u, carried into the next step: its half spectra and its
     # measures' log-normalizers, which the sample of u reads; it depends on
@@ -356,5 +360,7 @@ def evolve(
             stop("max_steps", n_steps)
 
     traj.status = status
-    traj.final_state = current_state().clone()
+    final = current_state()
+    # the caller's arrays are never handed back; after a step they are not these
+    traj.final_state = final.clone() if final.u is state.u else final
     return traj

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import liouwave.kernels as kernels
 import liouwave.propagator as prop
 from liouwave import (
     CouplingConfig,
     bubble_field,
+    cartan_matrix,
     picard_radius,
     picard_solve,
     picard_time,
@@ -14,7 +16,7 @@ from liouwave import (
     rhs_fields,
     wave_state_new,
 )
-from liouwave.picard import _NodeDistance, _node_distances, _Path, _path_distance, first_contraction_ratio
+from liouwave.picard import _NodeDistance, first_contraction_ratio
 
 
 def small_state(grid, amp=0.05, seed=20):
@@ -25,6 +27,7 @@ def small_state(grid, amp=0.05, seed=20):
 
 
 SG = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
+TODA = CouplingConfig("toda", (3 * np.pi, 3 * np.pi), matrix=cartan_matrix("A", 2))
 
 
 class TestPicardRadius:
@@ -48,8 +51,8 @@ def test_half_spectrum_path_distance_matches_full(grid32, rng):
     # Hermitian column weights of the half spectrum must reproduce
     shape = (3, 2, 32, 32)
     au, av, bu, bv = (rng.standard_normal(shape) for _ in range(4))
-    rfft2 = np.fft.rfft2
-    d = _path_distance(grid32, _Path(rfft2(au), rfft2(av)), _Path(rfft2(bu), rfft2(bv)))
+    dist = _NodeDistance(grid32, (2, 32, 17))
+    d = max(dist(*(np.fft.rfft2(x[j]) for x in (au, av, bu, bv))) for j in range(shape[0]))
     norm = grid32.area / (32 * 32) ** 2
     du, dv = np.fft.fft2(au - bu), np.fft.fft2(av - bv)
     h1 = np.sqrt(norm * ((1.0 + grid32.lap_symbol) * np.abs(du) ** 2).sum(axis=(1, 2, 3)))
@@ -71,9 +74,9 @@ def test_node_distance_matches_whole_path_formula(grid32, rng, ncomp):
     norm = grid32.area / (32 * 32) ** 2
     h1 = _parseval_norm(norm, (1.0 + grid32.lap_symbol[:, : colw.size]) * colw, au - bu)
     l2 = _parseval_norm(norm, colw, av - bv)
-    d = _node_distances(grid32, _Path(au, av), _Path(bu, bv))
-    np.testing.assert_allclose(d, h1 + l2, rtol=1e-12, atol=0)
     dist = _NodeDistance(grid32, au.shape[1:])
+    d = [dist(au[j], av[j], bu[j], bv[j]) for j in range(5)]
+    np.testing.assert_allclose(d, h1 + l2, rtol=1e-12, atol=0)
     np.testing.assert_allclose([dist.h1(au[j], bu[j]) for j in range(5)], h1, rtol=1e-12, atol=0)
     assert dist(au[0], av[0], au[0], av[0]) == 0.0
 
@@ -89,34 +92,38 @@ def _frozen_loop(u0h, v0h, factors, m, forcing):
         fh = forcing(j)
         uh[j + 1] = cos * uh[j] + sinc * vh[j] + q * fh
         vh[j + 1] = cos * vh[j] - wsin * uh[j] + sinc * fh
-    return _Path(uh, vh)
+    return uh, vh
 
 
 def _iterate(grid, st, h, m, k):
-    # the k-th Picard iterate from the free path on m steps of h, each
-    # iterate by the frozen-forcing loop over the one before
+    # the nodes (uh, vh) of the k-th Picard iterate from the free path on m
+    # steps of h, each iterate by the frozen-forcing loop over the one before
     step = prop.Stepper(grid, h, lambda u: rhs_fields(grid, u, SG), "frozen")
     u0h, v0h = grid.to_spectral_half_stack(st.u), grid.to_spectral_half_stack(st.v)
     path = _frozen_loop(u0h, v0h, step.factors, m, lambda j: np.zeros_like(u0h))
     for _ in range(k):
-        def forcing(j, prev=path):
-            return step.forcing(grid.to_physical_half_stack(prev.uh[j]))[0]
+        def forcing(j, prev=path[0]):
+            return step.forcing(grid.to_physical_half_stack(prev[j]))[0]
         path = _frozen_loop(u0h, v0h, step.factors, m, forcing)
     return path
 
 
 class TestOnePathBuffer:
-    """The iterates overwrite one path buffer; the solve returns its last
-    counted iterate, also when it draws one more for the first ratio."""
+    """The iterates overwrite one path; the solve returns its last counted
+    iterate, also when it draws one more for the first ratio."""
 
     def check_last_counted(self, grid, st, states, rep, h):
+        # the path's replayed nodes are those of the counted iterate, bit
+        # for bit, and the states are their transforms
         m = len(states) - 1
-        expect = _iterate(grid, st, h, m, rep.iterations)
-        assert np.array_equal(rep.path.uh, expect.uh)
-        assert np.array_equal(rep.path.vh, expect.vh)
-        for j, s in enumerate(states):
-            assert np.array_equal(s.u, grid.to_physical_half_stack(rep.path.uh[j]))
-            assert np.array_equal(s.v, grid.to_physical_half_stack(rep.path.vh[j]))
+        expect_uh, expect_vh = _iterate(grid, st, h, m, rep.iterations)
+        read = 0
+        for j, ((uh, vh), s) in enumerate(zip(rep.path.nodes(), states)):
+            assert np.array_equal(uh, expect_uh[j]) and np.array_equal(vh, expect_vh[j])
+            assert np.array_equal(s.u, grid.to_physical_half_stack(uh))
+            assert np.array_equal(s.v, grid.to_physical_half_stack(vh))
+            read += 1
+        assert read == m + 1
 
     def test_one_iteration_keeps_the_counted_iterate(self, grid32):
         # the second correction is drawn after the solve stops
@@ -134,35 +141,88 @@ class TestOnePathBuffer:
         self.check_last_counted(grid32, st, states, rep, 0.5)
 
 
-class TestStates:
-    """The solve returns its path as states transformed from `report.path`
-    when read, and holds no physical copy of the path."""
+def _traced_peak(run):
+    # tracemalloc peak of run(), after one untraced call for first-call
+    # allocations
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def test_no_physical_copy_of_the_path(self, grid32):
-        # the solve plus one pass over its states peaks at the spectral path
-        # and scratch, less than half the physical path's (m+1)*2*n1*n2*8 B
-        # on top of it
+
+class TestStates:
+    """The solve holds its path as node 0 and each step's kept forcing
+    block, and returns it as states replayed and transformed when read."""
+
+    m = 50
+
+    @staticmethod
+    def node_bytes(grid):
+        # one node's half spectrum of u (or of v), one component
+        return grid.n1 * (grid.n2 // 2 + 1) * 16
+
+    def test_peak_is_the_forcing_path_and_scratch(self, grid32):
+        # the solve plus one pass over its states peaks at the path plus
+        # about 25 nodes of scratch (factors, node buffers, forcing); the
+        # node path the forcing path replaced is 2*(m+1) = 102 nodes
         st = small_state(grid32)
-        picard_solve(st, SG, 0.05, 1e-3)  # first-call allocations not measured
-        tracemalloc.start()
-        try:
-            states, rep = picard_solve(st, SG, 0.05, 1e-3)
-            for _ in states:
+        held = {}
+
+        def solve_and_read():
+            held["states"], held["rep"] = picard_solve(st, SG, 0.05, 1e-3)
+            for _ in held["states"]:
                 pass
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        m = 50
-        spectral = rep.path.uh.nbytes + rep.path.vh.nbytes
-        physical = (m + 1) * 2 * 32 * 32 * 8
-        assert len(states) == m + 1 and rep.path.uh.shape[0] == m + 1
-        assert peak < spectral + physical // 2
+
+        peak = _traced_peak(solve_and_read)
+        path = held["rep"].path
+        kept = path.forcing.nbytes + path.u0h.nbytes + path.v0h.nbytes
+        assert peak < kept + 30 * self.node_bytes(grid32)
+
+    def test_one_iteration_solve_holds_one_path(self, grid32):
+        # the uncounted second correction reads the counted iterate: no
+        # copy of the path, so no more than one node above a converged solve
+        st = small_state(grid32)
+        converged = _traced_peak(lambda: picard_solve(st, SG, 0.05, 1e-3))
+        one = _traced_peak(lambda: picard_solve(st, SG, 0.05, 1e-3, max_iter=1))
+        assert one <= converged + self.node_bytes(grid32)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("cfg", [SG, TODA], ids=["sinh_gordon", "toda"])
+    def test_path_holds_the_kept_forcing(self, grid32, dealias, cfg):
+        gen = np.random.default_rng(5)
+        u0 = np.stack([random_smooth_field(grid32, gen, 3, 0.05) for _ in range(cfg.ncomp)])
+        st = wave_state_new(grid32, u0, np.zeros_like(u0))
+        _, rep = picard_solve(st, cfg, 0.05, 1e-3, dealias=dealias)
+        n = grid32.n1
+        per_step = (2 * (n // 3) + 1) * (n // 3 + 1) if dealias else n * (n // 2 + 1)
+        assert rep.path.forcing.dtype == np.complex128
+        assert rep.path.forcing.size == self.m * cfg.ncomp * per_step
+
+    def test_one_pass_makes_m_combines(self, grid32, monkeypatch):
+        st = small_state(grid32)
+        states, _ = picard_solve(st, SG, 0.05, 1e-3)
+        calls = []
+        combine = kernels.gautschi_combine
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return combine(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "gautschi_combine", counted)
+        assert sum(1 for _ in states) == self.m + 1
+        assert len(calls) == self.m
+        calls.clear()
+        states[7]
+        assert len(calls) == 7
 
     def test_length_times_and_indexes(self, grid32):
         base = small_state(grid32)
         st = wave_state_new(grid32, base.u, base.v, 0.3)
         states, rep = picard_solve(st, SG, 0.05, 1e-3)
-        m = 50
+        m = self.m
         assert len(states) == m + 1
         assert states[-1].t == st.t + rep.T
         assert [s.t for s in states] == [st.t + j * 1e-3 for j in range(m + 1)]
@@ -184,6 +244,9 @@ class TestStates:
         for (u1, v1), (u2, v2) in zip(first, second):
             assert u1 is not u2
             assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
+        for j in (0, 7, len(states) - 1):
+            assert np.array_equal(states[j].u, first[j][0])
+            assert np.array_equal(states[j].v, first[j][1])
 
 
 class TestPicardSolve:
@@ -237,6 +300,8 @@ class TestPicardSolve:
             picard_solve(st, SG, -0.1, 1e-3)
         with pytest.raises(ValueError):
             picard_solve(st, SG, 0.1, 1e-3, tol=0.0)
+        with pytest.raises(ValueError):
+            picard_solve(st, SG, 0.1, 1e-3, max_iter=0)
 
 
 class TestContractionRatios:
