@@ -94,26 +94,23 @@ class _Path:
     """One Picard iterate, held as what fixes it: node 0's half spectra
     (u0h, v0h), shaped (ncomp, n1, n2//2+1), and for each step j the kept
     block of the masked forcing spectrum that step was taken with.  With
-    the two-thirds mask that block is rows |k1| <= n1//3 and columns
-    k2 <= n2//3, the only modes the mask keeps; without it, the whole half
-    spectrum.  Built with zero forcing, it is the free path.
+    the two-thirds mask that block is the modes the mask keeps (rows
+    |k1| <= n1//3, columns k2 <= n2//3), packed by the grid
+    (`SpectralGrid.pack_kept_half`); without it, the whole half spectrum.
+    Built with zero forcing, it is the free path.
 
     Nodes are read by replaying the step from node 0 (`nodes`), which gives
     bit for bit the nodes the solve computed: a dropped mode's forcing is
     an exact zero, in the stored step and in the replay."""
 
-    __slots__ = ("u0h", "v0h", "factors", "forcing", "_rows", "_cols")
+    __slots__ = ("u0h", "v0h", "factors", "forcing", "_packing")
 
     def __init__(self, step: Stepper, u0h, v0h, m):
-        g = step.grid
         self.u0h, self.v0h, self.factors = u0h, v0h, step.factors
-        head, tail, cols = ((g.n1 // 3 + 1, g.n1 // 3, g.n2 // 3 + 1) if step.dealias
-                            else (g.n1, 0, g.n2 // 2 + 1))
-        # (rows of a stored block, the node's rows they hold): k1 >= 0, k1 < 0
-        self._rows = ((slice(0, head), slice(0, head)),
-                      (slice(head, head + tail), slice(g.n1 - tail, g.n1)))
-        self._cols = slice(0, cols)
-        self.forcing = np.zeros((m, u0h.shape[0], head + tail, cols), dtype=np.complex128)
+        # the grid that packs the mask's kept modes, or None: whole spectra
+        self._packing = step.grid if step.dealias else None
+        block = self._packing.kept_half_shape if self._packing else u0h.shape[1:]
+        self.forcing = np.zeros((m, u0h.shape[0]) + block, dtype=np.complex128)
 
     @property
     def m(self) -> int:
@@ -121,22 +118,25 @@ class _Path:
 
     def store(self, j, fh):
         """Keep the forcing half spectra `fh` step j is taken with."""
-        for block, node in self._rows:
-            self.forcing[j, :, block] = fh[:, node, self._cols]
+        if self._packing is None:
+            self.forcing[j] = fh
+        else:
+            self._packing.pack_kept_half(fh, self.forcing[j])
 
     def nodes(self):
         """Nodes 0..m as (uh, vh), replayed from node 0 by
-        `kernels.gautschi_combine` with each step's forcing expanded into a
-        zeroed node buffer.  A node's arrays are overwritten two reads
-        later, so a reader that keeps a node copies it."""
+        `kernels.gautschi_combine` with each step's forcing, unpacked into a
+        zeroed node buffer when packed.  A node's arrays are overwritten two
+        reads later, so a reader that keeps a node copies it."""
         uh, vh = self.u0h, self.v0h
         yield uh, vh
-        fh, tmp = np.zeros_like(uh), np.empty_like(uh)
+        fh = None if self._packing is None else np.zeros_like(uh)
+        tmp = np.empty_like(uh)
         out, spare = (np.empty_like(uh), np.empty_like(vh)), (np.empty_like(uh), np.empty_like(vh))
         for j in range(self.m):
-            for block, node in self._rows:
-                fh[:, node, self._cols] = self.forcing[j, :, block]
-            kernels.gautschi_combine(*self.factors, uh, vh, fh, *out, tmp=tmp)
+            f = (self.forcing[j] if fh is None
+                 else self._packing.unpack_kept_half(self.forcing[j], fh))
+            kernels.gautschi_combine(*self.factors, uh, vh, f, *out, tmp=tmp)
             (uh, vh), out, spare = out, spare, out
             yield uh, vh
 

@@ -21,8 +21,7 @@ orbit all run through it.
 The forcing has one path, `Stepper.forcing(u) -> (fh, logz)`.  For the
 equation's `CouplingConfig` it is `rhs_fields` writing into the stepper's
 physical buffer (one exponential pass per measure with rho != 0 into a
-slice of its own, one coupling-matrix product or, for the scalar families,
-a scale-and-add into the first slice, no mean subtraction), then
+slice of its own, one coupling-matrix product, no mean subtraction), then
 one batched rfft, the mask and the removal of the zero mode, which is the
 one place the forcing's constant is dropped; logz are the log-normalizers
 of its measures.  A plain callable forcing (the
@@ -78,7 +77,7 @@ from .fields import (
     WaveState,
 )
 from .functionals import evaluate_report
-from .rhs import CouplingConfig, DynamicRangeError, rhs_fields, work_slices
+from .rhs import CouplingConfig, DynamicRangeError, rhs_fields
 from .surface import SpectralGrid
 
 SCHEMES = ("frozen", "symmetric")
@@ -160,9 +159,9 @@ class Stepper:
         logz the log-normalizers of its measures (None for a callable
         `rhs`).  Raises `DynamicRangeError` where `rhs_fields` does."""
         if isinstance(self.rhs, CouplingConfig):
-            # the forcing's components, then the work slices of the measures
+            # the forcing's components, then one slice per measure
             n = self.rhs.ncomp
-            shape = (n + work_slices(self.rhs),) + u.shape[1:]
+            shape = (n + self.rhs.ncomp_measures,) + u.shape[1:]
             if self._physical is None or self._physical.shape != shape:
                 self._physical = np.empty(shape)
             f, logz = rhs_fields(self.grid, u, self.rhs, return_log_normalizers=True,
@@ -268,8 +267,7 @@ def evolve(
         n_steps = stepper.max_steps
 
     traj = Trajectory()
-    # read, never written: each step makes new u and v
-    u, v = state.u, state.v
+    u, v = state.u.copy(), state.v.copy()
     uh, vh = g.to_spectral_half_stack(u), g.to_spectral_half_stack(v)
     # the forcing at u, carried into the next step: its half spectra and its
     # measures' log-normalizers, which the sample of u reads; it depends on
@@ -360,7 +358,5 @@ def evolve(
             stop("max_steps", n_steps)
 
     traj.status = status
-    final = current_state()
-    # the caller's arrays are never handed back; after a step they are not these
-    traj.final_state = final.clone() if final.u is state.u else final
+    traj.final_state = current_state().clone()
     return traj

@@ -20,12 +20,10 @@ Each measure with rho != 0 takes one exponential pass
 (`SpectralGrid.shifted_exp`), whose max is also the finiteness check: a NaN
 or +inf exponent raises `DynamicRangeError`.  One matrix product then
 applies the coupling columns, each scaled by its measure's sign*rho/Z, so
-the normalizer 1/Z needs no density array of its own; with one column (the
-scalar families) each exponential is scaled in its slice and added into
-the output instead, the first taken in the output itself.  The pass also
-yields the measure's log-normalizer, which `rhs_fields` hands back on
-request, so a sample of the same state reads its log-integrals without
-exponentiating again.  The stepper hands `rhs_fields` buffers it keeps, so its forcing
+the normalizer 1/Z needs no density array of its own.  The pass also yields
+the measure's log-normalizer, which `rhs_fields` hands back on request, so a
+sample of the same state reads its log-integrals without exponentiating
+again.  The stepper hands `rhs_fields` buffers it keeps, so its forcing
 allocates no grid-sized array.
 """
 
@@ -327,14 +325,12 @@ def rhs_fields(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig,
     forcing.
 
     Each measure with rho != 0 takes one exponential pass into its own
-    slice; one matrix product then applies the coefficients
+    slice of `work`; one matrix product then applies the coefficients
     C[i, m] = A[i, c_m] sign_m rho_m / z_m, z_m the integral of the
-    exponential.  A one-column coupling (the scalar families) needs no
-    product: each exponential is scaled by its coefficient in its slice,
-    the first being `out` itself, and added into `out`.  `out` receives the
-    forcing, shaped as u, and `work` has `work_slices(cfg)` (n1, n2) slices:
-    C-contiguous float arrays, fresh when None, so a caller that keeps them
-    (the stepper) makes no grid-sized array per call.
+    exponential.  `out` receives the forcing, shaped as u, and `work` has
+    one (n1, n2) slice per measure of the table: C-contiguous float arrays,
+    fresh when None, so a caller that keeps them (the stepper) makes no
+    grid-sized array per call.
 
     With `return_log_normalizers`, returns (forcing, logz): logz[m] is the
     log-normalizer log int w e^{sign*scale*u_c} of measure m, which the
@@ -347,34 +343,18 @@ def rhs_fields(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig,
         raise ValueError(f"expected {cfg.ncomp} stacked components, got shape {u.shape}")
     measures = equation_measures(cfg)
     out = _buffer(out, u.shape)
-    work = _buffer(work, (work_slices(cfg),) + u.shape[1:])
-    one_column = cfg.ncomp == 1
-    slices = [out[0], *work] if one_column else work
+    work = _buffer(work, (len(measures),) + u.shape[1:])
     logz = [None] * len(measures)
     coeff = np.empty((cfg.ncomp, len(measures)))
-    k = 0  # measures exponentiated so far: slices[:k] hold them
+    k = 0  # measures exponentiated so far: work[:k] holds them
     for i, m in enumerate(measures):
         if m.rho == 0.0:
             continue
         x = u[m.component]
         if m.scale != 1.0:
-            x = np.multiply(x, m.scale, out=slices[k])
-        z, logz[i] = _exp_measure(grid, x, m.sign, m.log_weight, slices[k])
+            x = np.multiply(x, m.scale, out=work[k])
+        z, logz[i] = _exp_measure(grid, x, m.sign, m.log_weight, work[k])
         coeff[:, k] = m.coupling * (m.sign * m.rho / z)
-        if one_column:
-            slices[k] *= coeff[0, k]
-            if k:
-                out[0] += slices[k]
         k += 1
-    if not one_column:
-        np.matmul(coeff[:, :k], work.reshape(len(measures), -1)[:k], out=out.reshape(cfg.ncomp, -1))
-    elif k == 0:
-        out.fill(0.0)
+    np.matmul(coeff[:, :k], work.reshape(len(measures), -1)[:k], out=out.reshape(cfg.ncomp, -1))
     return (out, tuple(logz)) if return_log_normalizers else out
-
-
-def work_slices(cfg: CouplingConfig) -> int:
-    """The number of (n1, n2) slices `rhs_fields` needs in `work`: one per
-    measure of the table, less the one a one-column coupling takes in
-    `out` itself."""
-    return cfg.ncomp_measures - (cfg.ncomp == 1)

@@ -57,10 +57,11 @@ class SpectralGrid:
     Carries the per-mode Laplacian symbol lam(k1,k2) = (2*pi*k1/L1)^2 +
     (2*pi*k2/L2)^2 in FFT ordering, the two-thirds dealias mask (which
     `dealias_half` applies to half spectra in place, the stepper's forcing
-    mask), the quadrature weight area/(n1*n2), and the Parseval weights of
-    the half (rfft) spectrum, per column and, for Gram products, per float
-    of its float view, plain and times the symbol.  All methods are pure; a
-    grid is safe to share between threads.
+    mask, and whose kept modes `pack_kept_half` packs), the quadrature
+    weight area/(n1*n2), and the Parseval weights of the half (rfft)
+    spectrum, per column and, for Gram products, per float of its float
+    view, plain and times the symbol.  All methods are pure; a grid is safe
+    to share between threads.
     """
 
     def __init__(self, n1: int, n2: int, L1: float = TWO_PI, L2: float = TWO_PI):
@@ -84,10 +85,16 @@ class SpectralGrid:
             np.abs(self.k2[None, :]) <= n2 // 3
         )
         ncol = n2 // 2 + 1
-        # on the half spectrum the mask drops one block of rows (|k1| > n1//3)
-        # and one block of columns (k2 > n2//3)
-        self._dropped_rows = slice(n1 // 3 + 1, n1 - n1 // 3)
-        self._dropped_columns = slice(n2 // 3 + 1, ncol)
+        # on the half spectrum the mask keeps two blocks of rows (k1 = 0..n1//3
+        # and k1 = -n1//3..-1) on the columns k2 <= n2//3, and drops the one
+        # block of rows between them (|k1| > n1//3) and the columns after them
+        self._kept_rows = (slice(0, n1 // 3 + 1), slice(n1 - n1 // 3, n1))
+        self._kept_columns = slice(0, n2 // 3 + 1)
+        self._dropped_rows = slice(self._kept_rows[0].stop, self._kept_rows[1].start)
+        self._dropped_columns = slice(self._kept_columns.stop, ncol)
+        # the kept modes of a half spectrum, packed (`pack_kept_half`)
+        self.kept_half_shape = (self._dropped_rows.start + n1 - self._dropped_rows.stop,
+                                self._dropped_columns.start)
 
         # Parseval on the half spectrum: columns k2 = 0 and k2 = n2/2 are
         # their own Hermitian mirror and count once, every other column twice
@@ -141,6 +148,24 @@ class SpectralGrid:
         modes[..., self._dropped_rows, :] = 0.0
         modes[..., self._dropped_columns] = 0.0
         return modes
+
+    def pack_kept_half(self, modes: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Copy the modes of half spectra (..., n1, n2//2+1) that
+        `dealias_mask` keeps into `out` (..., *kept_half_shape): its rows
+        k1 = 0..n1//3, then k1 = -n1//3..-1; returns `out`."""
+        head = self._kept_rows[0].stop
+        out[..., :head, :] = modes[..., self._kept_rows[0], self._kept_columns]
+        out[..., head:, :] = modes[..., self._kept_rows[1], self._kept_columns]
+        return out
+
+    def unpack_kept_half(self, packed: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write modes packed by `pack_kept_half` back into the kept modes of
+        half spectra `out`, leaving its dropped modes as they are; returns
+        `out`."""
+        head = self._kept_rows[0].stop
+        out[..., self._kept_rows[0], self._kept_columns] = packed[..., :head, :]
+        out[..., self._kept_rows[1], self._kept_columns] = packed[..., head:, :]
+        return out
 
     # -- quadrature and norms ------------------------------------------------
 

@@ -594,9 +594,6 @@ FORCING_CASES = {
     "mean_field": lambda g: CouplingConfig("mean_field", (5.0,)),
     "sinh_gordon": lambda g: CouplingConfig("sinh_gordon", (4 * np.pi, 3 * np.pi)),
     "asymmetric_sinh_a2": lambda g: CouplingConfig("asymmetric_sinh", (4 * np.pi, 3 * np.pi), a=2.0),
-    # the scalar forcing's first slice is the output: here e^{-2u} lands in it
-    "asymmetric_sinh_a2_rho1_zero": lambda g: CouplingConfig("asymmetric_sinh", (0.0, 3 * np.pi), a=2.0),
-    "sinh_gordon_rho_zero": lambda g: CouplingConfig("sinh_gordon", (0.0, 0.0)),
     "toda_A2": lambda g: CouplingConfig("toda", (3 * np.pi, 2 * np.pi), matrix=cartan_matrix("A", 2)),
     "toda_G2": lambda g: CouplingConfig("toda", (2 * np.pi, np.pi), matrix=cartan_matrix("G2", 2)),
     "toda_A2_rho2_zero": lambda g: CouplingConfig("toda", (3 * np.pi, 0.0), matrix=cartan_matrix("A", 2)),
@@ -686,15 +683,6 @@ class TestStepperForcing:
                 raised.append(False)
                 assert np.isfinite(out[0] if isinstance(out, tuple) else out).all()
         assert raised == [expected, expected]
-
-    @pytest.mark.parametrize("case", sorted(FORCING_CASES))
-    def test_physical_buffer_slices(self, grid32, case):
-        # the forcing's components, then one work slice per measure, less
-        # the one a one-column coupling takes in the forcing itself
-        cfg = FORCING_CASES[case](grid32)
-        step = prop.Stepper(grid32, 1e-3, cfg)
-        step.forcing(self.state(grid32, cfg))
-        assert step._physical.shape == ((2,) if cfg.ncomp == 1 else (2 * cfg.ncomp,)) + (32, 32)
 
     @pytest.mark.parametrize("case", ["sinh_gordon", "asymmetric_sinh_a2", "toda_A2_weighted"])
     def test_consecutive_calls_allocate_no_physical_array(self, grid64, case):

@@ -56,6 +56,20 @@ class TestGridConstruction:
         out = g.dealias_half(modes)
         assert out is modes and np.array_equal(out, expect)
 
+    @pytest.mark.parametrize("n1, n2", [(8, 8), (24, 30), (32, 32), (30, 64)])
+    def test_packed_kept_modes_are_the_mask(self, n1, n2, rng):
+        # packing holds exactly the modes the mask keeps, in the mask's
+        # rows order, and unpacking into zeros gives the dealiased spectrum
+        g = make_torus_grid(n1, n2)
+        half_mask = g.dealias_mask[:, : n2 // 2 + 1]
+        assert g.kept_half_shape[0] * g.kept_half_shape[1] == half_mask.sum()
+        shape = (2, n1, n2 // 2 + 1)
+        modes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        packed = g.pack_kept_half(modes, np.empty((2,) + g.kept_half_shape, dtype=complex))
+        assert np.array_equal(packed.reshape(2, -1), modes[:, half_mask].reshape(2, -1))
+        out = g.unpack_kept_half(packed, np.zeros_like(modes))
+        assert np.array_equal(out, g.dealias_half(modes.copy()))
+
 
 class TestTransforms:
     def test_cosine_single_pair(self, grid64):
