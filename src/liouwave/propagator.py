@@ -11,8 +11,7 @@ obey exactly ubar+ = ubar + h*vbar with vbar constant.
 
 One object, `Stepper`, is behind every step.  It holds the time-h factors
 of `_mode_factors` (the one builder of the per-mode factors, on the half
-(rfft) columns), cast once to complex128 as every product with a spectrum
-would cast them, whether the forcing is dealiased, and the buffers of the
+(rfft) columns), whether the forcing is dealiased, and the buffers of the
 step and of the forcing, and `kernels.gautschi_combine` applies the update
 to the stacked half spectra of all components in one call.  `evolve`,
 `duhamel_step`, `linear_flow`, the Picard solution map and picard-verify's
@@ -133,11 +132,10 @@ class Stepper:
     `rhs_fields` writes into a buffer the stepper keeps, with the
     log-normalizers of its measures; or any map of stacked physical
     components to forcing fields (log-normalizers None), as `duhamel_step`
-    and `linear_flow` take.  `factors` are the time-h `_mode_factors` as
-    complex128 arrays (the same bits in every product with a spectrum,
-    without a cast per product); `dealias` applies the two-thirds mask to
-    the forcing (`grid.dealias_half`).  The buffers are allocated on first
-    use, and again when the shape of what they hold changes."""
+    and `linear_flow` take.  `factors` are the time-h `_mode_factors`;
+    `dealias` applies the two-thirds mask to the forcing
+    (`grid.dealias_half`).  The buffers are allocated on first use, and
+    again when the shape of what they hold changes."""
 
     def __init__(self, grid: SpectralGrid, h: float, rhs, scheme: str = "symmetric",
                  dealias: bool = True):
@@ -146,7 +144,7 @@ class Stepper:
         self.grid = grid
         self.rhs = rhs
         self.scheme = scheme
-        self.factors = tuple(f.astype(np.complex128) for f in _mode_factors(grid, float(h)))
+        self.factors = _mode_factors(grid, float(h))
         self.dealias = dealias
         self._buffers = None
         self._physical = None
