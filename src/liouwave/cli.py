@@ -15,14 +15,14 @@ identical CSV and snapshot files on one platform.  Scenarios:
     picard-verify   run the fixed-point solver and cross-check the stepper
     functional-scan scan the variational functional along a scaling family
     bubble-probe    J values and detector output along a bubble family
-    check           run the built-in invariant suite, print pass/fail lines
+
+The flows' invariants are pinned by the test suite (`python -m pytest`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import shutil
@@ -36,7 +36,7 @@ from . import blowup, functionals, picard, propagator, rhs
 from .fields import WaveState, random_smooth_field, wave_state_new
 from .surface import TWO_PI, make_torus_grid
 
-SCENARIOS = ("evolve", "picard-verify", "functional-scan", "bubble-probe", "check")
+SCENARIOS = ("evolve", "picard-verify", "functional-scan", "bubble-probe")
 
 CSV_COLUMNS = (
     "t", "mean_u", "kinetic", "dirichlet", "log_plus", "log_minus", "J", "E",
@@ -691,134 +691,6 @@ def _run_bubble_probe(rc, out_dir, seed):
     return 0
 
 
-# -- built-in invariant battery --------------------------------------------------
-
-def run_checks(verbose=True):
-    """Fast self-contained invariant suite; returns the list of
-    (name, passed, detail) and prints one line per check."""
-    results = []
-
-    def check(name, fn):
-        try:
-            fn()
-            results.append((name, True, ""))
-        except AssertionError as exc:
-            results.append((name, False, str(exc)))
-        except Exception as exc:  # noqa: BLE001 - report, do not crash the battery
-            results.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    rng = np.random.default_rng(12345)
-    grid = make_torus_grid(32, 32)
-
-    def _roundtrip():
-        f = rng.standard_normal((32, 32))
-        g = grid.to_physical(grid.to_spectral(f))
-        assert np.abs(g - f).max() <= 1e-13 * np.abs(f).max()
-
-    def _parseval():
-        f = rng.standard_normal((32, 32))
-        modes = grid.to_spectral(f)
-        lhs = grid.norm_l2(f) ** 2
-        rhs_ = grid.area * float((modes.real**2 + modes.imag**2).sum()) / (32 * 32) ** 2
-        assert abs(lhs - rhs_) <= 1e-12 * max(1.0, lhs)
-
-    def _bessel():
-        g64 = make_torus_grid(64, 64)
-        x1, _ = g64.mesh()
-        val = g64.integrate(np.exp(np.cos(x1) * np.ones((1, 64))))
-        i0 = sum((0.25**k) / (math.factorial(k) ** 2) for k in range(30))
-        assert abs(val - g64.area * i0) <= 1e-10 * g64.area * i0
-
-    def _jensen():
-        for _ in range(5):
-            f = rng.standard_normal((32, 32)) * 3.0
-            assert grid.log_integral_exp(f - grid.mean(f)) >= np.log(grid.area) - 1e-12
-
-    def _cartan():
-        a2 = rhs.cartan_matrix("A", 2)
-        assert np.array_equal(a2.entries, [[2, -1], [-1, 2]])
-        assert np.allclose(a2.inverse, np.array([[2, 1], [1, 2]]) / 3.0, atol=1e-14)
-        g2 = rhs.cartan_matrix("G2", 2)
-        assert np.array_equal(g2.entries, [[2, -1], [-3, 2]])
-        assert np.array_equal(g2.symmetrizer, [3, 1])
-
-    def _rhs_zero_mean():
-        cfg = rhs.CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
-        u = rng.standard_normal((32, 32))
-        out = rhs.rhs_scalar(grid, u, cfg)
-        assert abs(grid.integrate(out)) <= 1e-12
-        gauge = rhs.rhs_scalar(grid, u + 3.7, cfg)
-        assert np.abs(out - gauge).max() <= 1e-12
-
-    def _linear_exact():
-        st = wave_state_new(grid, np.cos(TWO_PI * grid.mesh()[0] / grid.L1) * np.ones((1, 32)),
-                            np.zeros((32, 32)))
-        cfg = rhs.CouplingConfig("mean_field", (0.0,))
-        stepper = propagator.StepperConfig(h=0.1, scheme="symmetric", sample_every=5)
-        traj = propagator.evolve(st, 2.0, stepper, cfg)
-        x1, _ = grid.mesh()
-        exact = np.cos(traj.times[-1]) * np.cos(x1) * np.ones((1, 32))
-        assert np.abs(traj.final_state.u[0] - exact).max() <= 1e-12
-
-    def _mean_conserved():
-        cfg = rhs.CouplingConfig("sinh_gordon", (2 * np.pi, 2 * np.pi))
-        u0 = random_smooth_field(grid, rng, 3, 0.5) + 0.3
-        st = wave_state_new(grid, u0, np.zeros((32, 32)))
-        stepper = propagator.StepperConfig(h=1e-2, sample_every=20)
-        traj = propagator.evolve(st, 1.0, stepper, cfg)
-        m0 = traj.reports[0].means[0]
-        assert all(abs(r.means[0] - m0) <= 1e-12 for r in traj.reports)
-
-    def _energy_identity():
-        cfg = rhs.CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
-        u0 = random_smooth_field(grid, rng, 3, 0.8)
-        u1 = random_smooth_field(grid, rng, 3, 0.5, zero_mean=True, norm="l2")
-        st = wave_state_new(grid, u0, u1)
-        e = functionals.energy(st, cfg)
-        k = 0.5 * grid.norm_l2(st.v[0]) ** 2
-        j = functionals.functional_J(grid, st.u, cfg)
-        assert abs(e - (k + j)) <= 1e-10 * (1.0 + abs(e))
-
-    def _energy_drift():
-        cfg = rhs.CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
-        u0 = random_smooth_field(grid, rng, 3, 0.5)
-        st = wave_state_new(grid, u0, np.zeros((32, 32)))
-        stepper = propagator.StepperConfig(h=1e-3, sample_every=100)
-        traj = propagator.evolve(st, 1.0, stepper, cfg)
-        e0 = traj.reports[0].E
-        drift = max(abs(r.E - e0) / (1 + abs(e0)) for r in traj.reports)
-        assert drift <= 1e-6, f"drift {drift:.3e}"
-
-    def _detector():
-        g = make_torus_grid(64, 64)
-        u = blowup.bubble_field(g, (np.pi, np.pi), 8.0)
-        dens = blowup.density(g, u, +1.0)
-        det = blowup.detect_concentration(
-            g, dens, blowup.ConcentrationQuery(m=1, r=0.5, eps=0.1)
-        )
-        assert det.covered_fraction >= 0.9, f"covered {det.covered_fraction:.3f}"
-
-    check("transform round-trip", _roundtrip)
-    check("parseval identity", _parseval)
-    check("quadrature bessel value", _bessel)
-    check("discrete jensen bound", _jensen)
-    check("cartan matrices", _cartan)
-    check("rhs zero mean and gauge invariance", _rhs_zero_mean)
-    check("linear eigenmode exactness", _linear_exact)
-    check("mean conservation", _mean_conserved)
-    check("energy identity E = K + J", _energy_identity)
-    check("energy drift (symmetric scheme)", _energy_drift)
-    check("bubble concentration detector", _detector)
-
-    if verbose:
-        for name, ok, detail in results:
-            line = f"{'PASS' if ok else 'FAIL'}  {name}"
-            if detail and not ok:
-                line += f"  ({detail})"
-            print(line)
-    return results
-
-
 def run(rc: RunConfig, out_dir: str, seed=None) -> int:
     """Execute the configured scenario, writing into out_dir.  Numeric stop
     conditions are recorded statuses; the exit code is nonzero only for
@@ -836,9 +708,6 @@ def run(rc: RunConfig, out_dir: str, seed=None) -> int:
         return _run_functional_scan(rc, out_dir, effective_seed)
     if scenario == "bubble-probe":
         return _run_bubble_probe(rc, out_dir, effective_seed)
-    if scenario == "check":
-        results = run_checks()
-        return 0 if all(ok for _, ok, _ in results) else 1
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -852,7 +721,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--seed", type=int, default=None)
-    p_check = sub.add_parser("check", help="run the built-in invariant suite")
     p_resume = sub.add_parser("resume", help="continue an evolve run from a checkpoint")
     p_resume.add_argument("checkpoint")
     p_resume.add_argument("--out", default=None)
@@ -861,9 +729,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             rc = load_config(args.config)
             return run(rc, args.out, args.seed)
-        if args.command == "check":
-            results = run_checks()
-            return 0 if all(ok for _, ok, _ in results) else 1
         if args.command == "resume":
             out = args.out
             if out is None:

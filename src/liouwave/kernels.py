@@ -1,33 +1,19 @@
-"""Numpy kernels of the hot elementwise loops.
+"""The numpy kernel of the stepper's per-mode update.
 
 `gautschi_combine` is the per-mode trigonometric update of the stepper;
 `propagator.Stepper` (so `evolve`, `duhamel_step` and `linear_flow`) and the
 Picard map all run through it on the stacked half spectra of all components
 at once.  The free-flow part cos*uh + sinc*vh of the position can be left
 by one call and read by the next (`free_out`, `free`), so the symmetric
-step's predictor and final position share it.  `exp_shifted_sum` is the
-shifted exponential behind every log-sum-exp integral
-(`SpectralGrid.shifted_exp`), the rhs's included.  Call sites look both up
-as module attributes at call time (``kernels.gautschi_combine``), never bind
-them at import or in a `Stepper`, so a wrapper installed on the module is
-seen everywhere.
+step's predictor and final position share it.  Call sites look it up as a
+module attribute at call time (``kernels.gautschi_combine``), never bind it
+at import or in a `Stepper`, so a wrapper installed on the module is seen
+everywhere.  `backend` names the implementation, for provenance records.
 """
 
 import numpy as np
 
 backend = "python"
-
-
-def exp_shifted_sum(g, m, out, sign=1.0):
-    """out[i,j] = exp(sign*g[i,j] - m) for sign +1 or -1; returns the sum of
-    out.  With sign -1 the shifted exponent is formed as (-m) - g, which has
-    the bits of (-g) - m without a negated copy of g."""
-    if sign > 0:
-        np.subtract(g, m, out=out)
-    else:
-        np.subtract(-m, g, out=out)
-    np.exp(out, out=out)
-    return float(out.sum())
 
 
 def gautschi_combine(cosw, sincw, qw, wsinw, uh, vh, fh, uh_out, vh_out=None, tmp=None,

@@ -97,8 +97,6 @@ class StepperConfig:
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError("step size must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (self.max_abs_u > 0 and self.max_grad_l2 > 0 and self.max_steps > 0):
             raise ValueError("stop thresholds must be positive")
         if self.sample_every < 1:

@@ -171,7 +171,6 @@ class CouplingConfig:
     a: float = 1.0
     weights: Optional[tuple] = None
     matrix: Optional[CouplingMatrix] = None
-    weight_bound: float = field(init=False, default=1.0)
     log_weights: Optional[tuple] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -204,14 +203,11 @@ class CouplingConfig:
                 raise ValueError(
                     f"expected {self.ncomp_measures} weight slots, got {len(self.weights)}"
                 )
-            bound = 1.0
             for w in self.weights:
                 if w is None:
                     continue
                 if not np.all(np.isfinite(w)) or not np.all(w > 0):
                     raise ValueError("weights must be strictly positive")
-                bound = max(bound, float(w.max()), float(1.0 / w.min()))
-            self.weight_bound = bound
             self.log_weights = tuple(None if w is None else np.log(w) for w in self.weights)
 
     @property

@@ -13,8 +13,7 @@ integral of an exponential takes one exponential pass, `shifted_exp` (one
 max, which is also the finiteness check, one exp, one sum, into a buffer
 the caller may hold): `normalized_exp`, `log_integral_exp` and the rhs share
 it.  The H1 norms and `minus_laplacian` work on half spectra too; the full
-complex pair `to_spectral`/`to_physical` remains for seeded data and the
-self-check battery.
+complex pair `to_spectral`/`to_physical` remains for seeded data.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from . import kernels
 
 TWO_PI = 2.0 * np.pi
 
@@ -36,19 +33,6 @@ def _require_finite(values, what="field"):
 def _check_sign(sign):
     if sign not in (1.0, -1.0, 1, -1):
         raise ValueError("sign must be +1 or -1")
-
-
-def _log_weight(weight, shape, log_weight):
-    """The log-weight a log-sum-exp adds: `log_weight` as given, or the log of
-    `weight` after checking its shape and positivity (None for neither)."""
-    if weight is None:
-        return log_weight
-    weight = np.asarray(weight, dtype=float)
-    if weight.shape != shape:
-        raise ValueError("weight shape does not match field")
-    if not np.all(weight > 0):
-        raise ValueError("weight must be strictly positive")
-    return np.log(weight)
 
 
 class SpectralGrid:
@@ -227,21 +211,27 @@ class SpectralGrid:
             m = -float(values.min())
         if not math.isfinite(m):
             raise ValueError("exponent contains non-finite values")
-        return out, m, kernels.exp_shifted_sum(g, m, out, sign)
+        # with sign -1 the shifted exponent is formed as (-m) - g, which has
+        # the bits of (-g) - m without a negated copy of g
+        if sign > 0:
+            np.subtract(g, m, out=out)
+        else:
+            np.subtract(-m, g, out=out)
+        np.exp(out, out=out)
+        return out, m, float(out.sum())
 
-    def log_integral_exp(self, values, sign: float = 1.0, weight=None, log_weight=None) -> float:
+    def log_integral_exp(self, values, sign: float = 1.0, log_weight=None) -> float:
         """log of integral of w * e^(sign*f), evaluated as a log-sum-exp.
 
-        `sign` is +1 or -1; a strictly positive weight field may be supplied,
-        or its log (`log_weight`, taken once by the caller, e.g.
-        `CouplingConfig.log_weight`).  Safe for |f| up to ~700; raises
-        ValueError when sign*f + log w has a NaN or +inf.
+        `sign` is +1 or -1; `log_weight` is the log of a positive weight
+        field, taken once by the caller (`CouplingConfig.log_weight`).  Safe
+        for |f| up to ~700; raises ValueError when sign*f + log w has a NaN
+        or +inf.
         """
-        log_weight = _log_weight(weight, np.shape(values), log_weight)
         _, m, s = self.shifted_exp(values, sign, log_weight)
         return m + float(np.log(self.cell_area * s))
 
-    def normalized_exp(self, values, sign: float = 1.0, weight=None, log_weight=None):
+    def normalized_exp(self, values, sign: float = 1.0, log_weight=None):
         """The probability density w*e^(sign*f) / integral(w*e^(sign*f)),
         with the weight given as in `log_integral_exp`.
 
@@ -249,7 +239,6 @@ class SpectralGrid:
         `log_integral_exp` of the same arguments; the density integrates to 1
         up to round-off by construction.
         """
-        log_weight = _log_weight(weight, np.shape(values), log_weight)
         out, m, s = self.shifted_exp(values, sign, log_weight)
         z = self.cell_area * s
         out /= z

@@ -500,15 +500,19 @@ class TestPicardVerify:
 
 
 class TestMain:
-    def test_run_and_check_commands(self, tmp_path, capsys):
+    def test_run_command(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CFG.replace("T = 0.5", "T = 0.1"))
         code = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 0
-        code = cli.main(["check"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "PASS" in captured.out and "FAIL" not in captured.out
+
+    def test_check_is_neither_command_nor_scenario(self):
+        # the invariants are pinned by the test suite, not by a CLI battery
+        with pytest.raises(ValueError, match="'scenario'"):
+            cli.parse_config("scenario = check\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check"])
+        assert exc.value.code != 0
 
     def test_missing_config_is_error(self, tmp_path, capsys):
         code = cli.main(["run", str(tmp_path / "absent.cfg")])

@@ -15,11 +15,12 @@ def combine_inputs(rng, shape=(32, 17)):
     return coef, modes
 
 
-def test_exp_shifted_sum_matches_direct(rng):
+def test_shifted_exp_matches_direct(grid32, rng):
     g = np.ascontiguousarray(2.0 * rng.standard_normal((32, 32)))
     out = np.empty_like(g)
-    s = kernels.exp_shifted_sum(g, 1.3, out)
-    direct = np.exp(g - 1.3)
+    _, m, s = grid32.shifted_exp(g, out=out)
+    assert m == g.max()
+    direct = np.exp(g - m)
     assert np.allclose(out, direct, rtol=1e-15, atol=0)
     assert s == pytest.approx(direct.sum(), rel=1e-14)
 
@@ -57,9 +58,11 @@ def test_shared_free_flow_gives_the_same_bits(rng):
     assert np.array_equal(vo, c * vh - w * uh + s * f2)
 
 
-def test_exp_shifted_sum_negative_sign(rng):
+def test_shifted_exp_negative_sign(grid32, rng):
+    # the shifted exponent (-m) - g has the bits of (-g) - m
     g = np.ascontiguousarray(2.0 * rng.standard_normal((32, 32)))
     out = np.empty_like(g)
-    s = kernels.exp_shifted_sum(g, 1.3, out, -1.0)
-    assert np.array_equal(out, np.exp(-g - 1.3))
+    _, m, s = grid32.shifted_exp(g, -1.0, out=out)
+    assert m == -g.min()
+    assert np.array_equal(out, np.exp(-g - m))
     assert s == pytest.approx(out.sum(), rel=1e-15)

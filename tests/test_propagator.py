@@ -678,10 +678,12 @@ class TestStepperForcing:
 
 
 class TestStepperConfigValidation:
-    def test_bad_values(self):
+    def test_bad_values(self, grid32):
         with pytest.raises(ValueError):
             StepperConfig(h=0.0)
-        with pytest.raises(ValueError):
-            StepperConfig(h=0.1, scheme="leapfrog")
+        # the scheme is checked once, by the Stepper that `evolve` builds
+        with pytest.raises(ValueError, match="unknown scheme"):
+            evolve(eigenmode_state(grid32), 0.1, StepperConfig(h=0.1, scheme="leapfrog"),
+                   CouplingConfig("mean_field", (0.0,)))
         with pytest.raises(ValueError):
             StepperConfig(h=0.1, sample_every=0)

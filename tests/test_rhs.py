@@ -91,11 +91,6 @@ class TestCouplingConfig:
         cfg = CouplingConfig("asymmetric_sinh", (1.0, 1.0), a=2.0)
         assert cfg.a == 2.0
 
-    def test_weight_bound_recorded(self, grid32):
-        w = np.full((32, 32), 4.0)
-        cfg = CouplingConfig("sinh_gordon", (1.0, 1.0), weights=(w, None))
-        assert cfg.weight_bound == 4.0
-
     def test_nonpositive_weight_rejected(self):
         w = np.zeros((32, 32))
         with pytest.raises(ValueError, match="positive"):
