@@ -96,6 +96,22 @@ class TestCouplingConfig:
         with pytest.raises(ValueError, match="positive"):
             CouplingConfig("sinh_gordon", (1.0, 1.0), weights=(w, None))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_one_bad_weight_entry_rejected(self, bad):
+        # the input check is the only guard before np.log(w): a single bad
+        # grid point in an otherwise valid field must be caught
+        w = np.ones((32, 32))
+        w[5, 7] = bad
+        with pytest.raises(ValueError, match="positive"):
+            CouplingConfig("sinh_gordon", (1.0, 1.0), weights=(None, w))
+
+    def test_weight_slot_count_checked(self):
+        w = np.ones((32, 32))
+        with pytest.raises(ValueError, match="weight slots"):
+            CouplingConfig("sinh_gordon", (1.0, 1.0), weights=(w,))
+        with pytest.raises(ValueError, match="weight slots"):
+            CouplingConfig("toda", (1.0, 1.0), matrix=cartan_matrix("A", 2), weights=(w, w, w))
+
 
 class TestScalarRhs:
     def test_zero_field(self, grid64):
