@@ -1,5 +1,5 @@
 """Energies, Euler-Lagrange functionals, their L2 gradients, and the
-Moser-Trudinger-type residual diagnostics.
+Moser-Trudinger-type residuals (J at the inequalities' critical rho).
 
     J(u) = 1/2 sum_ij Q_ij <grad u_i, grad u_j>
            - sum_m c_m log int w_m e^{sign_m*scale_m*(u_c - ubar_c)}
@@ -11,13 +11,13 @@ Toda measure h_j e^{u_j}.  The L2 gradient `grad_J` is one formula over the
 same table.  The conserved energy adds the matching kinetic quadratic form;
 E = kinetic + J is an identity at every slice.
 
-Everything is computed in one pass over the half (rfft) spectra of the
-state.  Means are the zero modes; H1 seminorms and the Dirichlet and kinetic
-forms come from one Parseval Gram matrix per field (`_gram`: one BLAS
-product with the grid's Hermitian column weights), contracted with the
-energy form.  Each measure of the table has one centred log-integral per
-slice, which J, the report's columns, the residual and the blow-up monitor
-share.  `evolve` hands the report the half spectra it carries and the
+J, E and the residuals all come from one pass over the half (rfft) spectra
+of a slice (`_slice_terms`).  Means are the zero modes; H1 seminorms and the
+Dirichlet and kinetic forms come from one Parseval Gram matrix per field
+(`_gram`: one BLAS product with the grid's Hermitian column weights),
+contracted with the energy form.  Each measure of the table has one centred
+log-integral per slice, which J, the report's columns and the blow-up
+monitor share.  `evolve` hands the report the half spectra it carries and the
 log-normalizers of the forcing it evaluated on the same u, so a sample makes
 no transform, and no log-sum-exp for a measure the forcing exponentiated;
 without them the report takes one rfft per component of u and v and one
@@ -51,7 +51,6 @@ class FunctionalReport:
     log_minus: float
     J: float
     E: float
-    mt_residual: float
     grad_l2: float
     log_integrals: tuple
 
@@ -100,56 +99,44 @@ def _centered_log_integral(grid, u, mean, sign, log_weight=None, scale=1.0,
     return float(log_normalizer - sign * scale * mean)
 
 
-def _functional(measures, dirichlet: float, logs) -> float:
-    """J from the Dirichlet form and the measures' log-integrals."""
-    val = dirichlet
+def _slice_terms(grid: SpectralGrid, u: np.ndarray, uh: np.ndarray, cfg: CouplingConfig,
+                 log_normalizers=None) -> tuple:
+    """J's terms on one slice of the stacked u, whose half spectra are uh:
+    (Q, means, Dirichlet Gram matrix, Dirichlet form, centred log-integral of
+    each measure of `equation_measures(cfg)`, J).  A measure with a
+    log-normalizer in `log_normalizers` takes no log-sum-exp."""
+    q = _energy_form(cfg)
+    if uh.shape[0] != q.shape[0]:
+        raise ValueError(f"expected {q.shape[0]} components, got {uh.shape[0]}")
+    means = _means(grid, uh)
+    grads = _gram(grid, uh, True)
+    dirichlet = _form(grads, q)
+    measures = equation_measures(cfg)
+    if log_normalizers is None:
+        log_normalizers = (None,) * len(measures)
+    logs = tuple(
+        _centered_log_integral(grid, u[m.component], means[m.component], m.sign, m.log_weight,
+                               m.scale, logz)
+        for m, logz in zip(measures, log_normalizers)
+    )
+    jval = dirichlet
     for m, lg in zip(measures, logs):
         if m.coefficient != 0.0:
-            val -= m.coefficient * lg
-    return float(val)
-
-
-def _residual(flavor: str, dirichlet: float, plain, ncomp: int, params) -> float:
-    """The residual of `mt_residual` from the Dirichlet form and `plain(sign,
-    i)` = log int e^{sign*(u_i - ubar_i)}."""
-    if flavor == "toda":
-        val = dirichlet
-        for i in range(ncomp):
-            val -= FOUR_PI * plain(+1, i)
-        return float(val)
-    if flavor == "standard":
-        return float(dirichlet - EIGHT_PI * plain(+1, 0))
-    if flavor == "sinh":
-        return float(dirichlet - EIGHT_PI * (plain(+1, 0) + plain(-1, 0)))
-    if flavor == "improved":
-        k, l, eps = int(params["k"]), int(params["l"]), float(params.get("eps", 0.0))
-        return float((1.0 + eps) * dirichlet - EIGHT_PI * k * plain(+1, 0)
-                     - EIGHT_PI * l * plain(-1, 0))
-    raise ValueError(f"unknown residual flavor {flavor!r}")
+            jval -= m.coefficient * lg
+    return q, means, grads, dirichlet, logs, float(jval)
 
 
 def functional_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> float:
     """The functional J (weights and asymmetry included); u is stacked
     (ncomp, n1, n2), or one (n1, n2) field for the scalar families."""
     u = _stacked(u)
-    q = _energy_form(cfg)
-    uh = grid.to_spectral_half_stack(u)
-    means = _means(grid, uh)
-    measures = equation_measures(cfg)
-    logs = [
-        _centered_log_integral(grid, u[m.component], means[m.component], m.sign, m.log_weight,
-                               m.scale) if m.coefficient != 0.0 else 0.0
-        for m in measures
-    ]
-    return _functional(measures, _form(_gram(grid, uh, True), q), logs)
+    return _slice_terms(grid, u, grid.to_spectral_half_stack(u), cfg)[-1]
 
 
 def energy(state: WaveState, cfg: CouplingConfig) -> float:
     """Conserved energy: the kinetic form (contracted with the energy form,
     as the Dirichlet one) plus the functional J."""
-    g = state.grid
-    kinetic = _form(_gram(g, g.to_spectral_half_stack(state.v), False), _energy_form(cfg))
-    return kinetic + functional_J(g, state.u, cfg)
+    return evaluate_report(state, cfg).E
 
 
 def grad_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray:
@@ -171,33 +158,35 @@ def grad_J(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig) -> np.ndarray
 
 
 def mt_residual(grid: SpectralGrid, u: np.ndarray, flavor: str = "standard", **params) -> float:
-    """Sharp-constant residuals.
+    """Sharp-constant residuals: the functional J, unweighted, at the
+    critical parameters of each Moser-Trudinger inequality.
 
-    standard: 1/2 ||grad u||^2 - 8 pi log int e^{u-ubar}
-    sinh:     1/2 ||grad u||^2 - 8 pi (log int e^{u-ubar} + log int e^{-u+ubar})
-    toda:     matrix-contracted Dirichlet form minus 4 pi per-component logs
-              (params: matrix)
-    improved: (1+eps)/2 ||grad u||^2 - 8 k pi log int e^{u-ubar}
-              - 8 l pi log int e^{-u+ubar}  (params: k, l, eps)
+    standard: mean_field at rho = 8 pi
+              (1/2 ||grad u||^2 - 8 pi log int e^{u-ubar})
+    sinh:     sinh_gordon at (8 pi, 8 pi)
+    toda:     toda at rho_j = 4 pi / d_j, d the symmetrizer, so every
+              log-integral has coefficient 4 pi (params: matrix)
+    improved: (1+eps) J at sinh_gordon (8 k pi, 8 l pi)/(1+eps)
+              (params: k, l, eps)
 
-    The integrals are unweighted.  The geometric constant in the underlying
-    inequalities is not explicit, so residual values are diagnostics, never
-    asserted against a bound.
+    The geometric constant in the underlying inequalities is not explicit,
+    so residual values are diagnostics, never asserted against a bound.
     """
-    uu = _stacked(u)
+    if flavor == "standard":
+        return functional_J(grid, u, CouplingConfig("mean_field", (EIGHT_PI,)))
+    if flavor == "sinh":
+        return functional_J(grid, u, CouplingConfig("sinh_gordon", (EIGHT_PI, EIGHT_PI)))
     if flavor == "toda":
-        q = params["matrix"].energy_form()
-        if q.shape[0] != uu.shape[0]:
-            raise ValueError(f"expected {q.shape[0]} components, got {uu.shape[0]}")
-    else:
-        uu, q = uu[:1], np.ones((1, 1))
-    uh = grid.to_spectral_half_stack(uu)
-    means = _means(grid, uh)
-
-    def plain(sign, i):
-        return _centered_log_integral(grid, uu[i], means[i], sign)
-
-    return _residual(flavor, _form(_gram(grid, uh, True), q), plain, uu.shape[0], params)
+        mat = params["matrix"]
+        # without a symmetrizer J is undefined, and its energy form says so
+        d = np.ones(mat.n) if mat.symmetrizer is None else mat.symmetrizer
+        return functional_J(grid, u, CouplingConfig("toda", FOUR_PI / d, matrix=mat))
+    if flavor == "improved":
+        k, l, eps = int(params["k"]), int(params["l"]), float(params.get("eps", 0.0))
+        c = 1.0 + eps
+        cfg = CouplingConfig("sinh_gordon", (EIGHT_PI * k / c, EIGHT_PI * l / c))
+        return c * functional_J(grid, u, cfg)
+    raise ValueError(f"unknown residual flavor {flavor!r}")
 
 
 def evaluate_report(state: WaveState, cfg: CouplingConfig, spectra=None,
@@ -214,51 +203,27 @@ def evaluate_report(state: WaveState, cfg: CouplingConfig, spectra=None,
     log-sum-exp, so the two give the same bits.
 
     Each equation measure's centred log-integral is taken once and kept in
-    `log_integrals`.  For the scalar families log_plus is log int h1
-    e^{u - ubar} and log_minus is log int h2 e^{-a(u - ubar)}, the two
-    measures.  For coupled systems log_plus is the max over components of
-    log int h_j e^{u_j - ubar_j} (the measures) and log_minus the max of the
-    unweighted log int e^{-(u_j - ubar_j)}.  The residual is that of
-    `mt_residual` for the family (standard, sinh or toda), with unweighted
-    a = 1 integrals; a measure's value is reused where it is that integral.
-    So a log-sum-exp is made only for a column that is not an equation
-    measure with a log-normalizer: Toda's log_minus, measures with rho = 0,
-    and the residual's unweighted integrals on weighted or a != 1 runs.
+    `log_integrals`; J is made from them and the Dirichlet form as in
+    `functional_J`, and E = kinetic + J.  For the scalar families log_plus
+    is log int h1 e^{u - ubar} and log_minus is log int h2 e^{-a(u - ubar)},
+    the two measures.  For coupled systems log_plus is the max over
+    components of log int h_j e^{u_j - ubar_j} (the measures) and log_minus
+    the max of the unweighted log int e^{-(u_j - ubar_j)}.  So a log-sum-exp
+    is made only for a column that is not an equation measure with a
+    log-normalizer: Toda's log_minus and measures with rho = 0.
     """
     g = state.grid
     if spectra is None:
         spectra = (g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v))
     uh, vh = spectra
-    n = uh.shape[0]
-    q = _energy_form(cfg)
-    means = _means(g, uh)
-    grads = _gram(g, uh, True)
-    dirichlet = _form(grads, q)
+    q, means, grads, dirichlet, logs, jval = _slice_terms(g, state.u, uh, cfg, log_normalizers)
     kinetic = _form(_gram(g, vh, False), q)
-
-    measures = equation_measures(cfg)
-    if log_normalizers is None:
-        log_normalizers = (None,) * len(measures)
-    logs = tuple(
-        _centered_log_integral(g, state.u[m.component], means[m.component], m.sign, m.log_weight,
-                               m.scale, logz)
-        for m, logz in zip(measures, log_normalizers)
-    )
-
-    def plain(sign, i):
-        for m, lg in zip(measures, logs):
-            if m.log_weight is None and (m.component, m.sign, m.scale) == (i, sign, 1.0):
-                return lg
-        return _centered_log_integral(g, state.u[i], means[i], sign)
-
     if cfg.family == "toda":
         log_plus = max(logs)
-        log_minus = max(plain(-1, i) for i in range(n))
-        flavor = "toda"
+        log_minus = max(_centered_log_integral(g, state.u[i], mean, -1)
+                        for i, mean in enumerate(means))
     else:
         log_plus, log_minus = logs
-        flavor = "standard" if cfg.family == "mean_field" else "sinh"
-    jval = _functional(measures, dirichlet, logs)
     return FunctionalReport(
         t=float(state.t),
         means=means,
@@ -269,7 +234,6 @@ def evaluate_report(state: WaveState, cfg: CouplingConfig, spectra=None,
         log_minus=log_minus,
         J=jval,
         E=kinetic + jval,
-        mt_residual=_residual(flavor, dirichlet, plain, n, {}),
         grad_l2=float(np.sqrt(grads.diagonal().max())),
         log_integrals=logs,
     )

@@ -188,26 +188,41 @@ class TestRunScenarios:
         assert rows[-1].split(",")[status_col] == "completed"
         assert all(float(r.split(",")[drift_col]) <= 1e-6 for r in rows[1:])
 
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
     @pytest.mark.parametrize("family", ["mean_field", "sinh_gordon", "asymmetric_sinh", "toda"])
-    def test_report_values_parse(self, tmp_path, family):
-        # every value line of report.txt is a plain float literal
+    def test_report_values_parse(self, tmp_path, family, scenario):
+        # every scenario runs for every family; its float report lines parse,
+        # and the first column of its CSV is a float on every row
         keys = {
             "mean_field": "rho1 = 6.0\n",
             "sinh_gordon": "rho1 = 6.0\nrho2 = 6.0\n",
             "asymmetric_sinh": "rho1 = 6.0\nrho2 = 6.0\na = 2.0\n",
             "toda": "rho1 = 3.0\nrho2 = 3.0\n",
         }
+        outputs = {
+            "evolve": ("timeseries.csv", ("final_t", "E0", "max_energy_drift")),
+            "picard-verify": (None, ("final_distance", "sup_h1_vs_stepper")),
+            "functional-scan": ("scan.csv", ()),
+            "bubble-probe": ("bubble.csv", ()),
+        }
         cfg_text = (
-            f"scenario = evolve\nfamily = {family}\n" + keys[family]
+            f"scenario = {scenario}\nfamily = {family}\n" + keys[family]
             + "grid.n1 = 16\ngrid.n2 = 16\nT = 0.1\nh = 0.01\nsample_every = 5\n"
         )
         out = tmp_path / family
         assert cli.run(cli.parse_config(cfg_text), str(out)) == 0
+        csv_name, float_keys = outputs[scenario]
         lines = dict(
             line.split(": ", 1) for line in (out / "report.txt").read_text().splitlines()
+            if ": " in line
         )
-        for key in ("final_t", "E0", "max_energy_drift"):
+        for key in float_keys:
             float(lines[key])
+        if csv_name is not None:
+            rows = (out / csv_name).read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                float(row.split(",")[0])
 
     def test_seed_changes_output(self, tmp_path):
         rc = cli.parse_config(BASE_CFG)

@@ -285,8 +285,6 @@ class TestEvaluateReport:
         direct = np.log(grid32.integrate(np.exp(-2.0 * (u0 - u0.mean()))))
         assert rep.log_minus == pytest.approx(direct, rel=1e-13)
         assert rep.log_minus == pytest.approx(3.7745, abs=1e-4)
-        sinh = mt_residual(grid32, u0, "sinh")
-        assert rep.mt_residual == pytest.approx(sinh, rel=1e-13)
 
     def test_toda_report(self, grid32, rng):
         cfg = CouplingConfig("toda", (np.pi, np.pi), matrix=cartan_matrix("A", 2))
