@@ -74,6 +74,7 @@ class MonitorThresholds:
     def __post_init__(self):
         if not (self.grad_l2 > 0 and self.log_int > 0):
             raise ValueError("monitor thresholds must be positive")
+        ConcentrationQuery(1, self.r, self.eps, self.delta)  # the detector's rules
 
 
 def density(grid: SpectralGrid, u: np.ndarray, sign: float = 1.0) -> np.ndarray:

@@ -252,10 +252,14 @@ def parse_config(text: str) -> RunConfig:
     for key in ("matrix", "ncomp"):
         if key in explicit and family != "toda":
             raise ValueError(f"key {key!r} is only valid for family toda")
-    if family == "toda" and values["ncomp"] > 8:
-        raise ValueError("at most 8 components are supported by the rho1..rho8 keys")
+    if family == "toda" and not 2 <= values["ncomp"] <= 8:
+        raise ValueError("config key 'ncomp': toda takes 2 to 8 components")
     if family == "toda" and values["matrix"] == "G2" and values["ncomp"] != 2:
         raise ValueError("matrix G2 forces ncomp = 2")
+    # the detector's balls (evolve's alarms, bubble-probe) must fit the torus
+    if values["scenario"] in ("evolve", "bubble-probe") and not (
+            values["conc.r"] < min(values["grid.L1"], values["grid.L2"]) / 2):
+        raise ValueError("config key 'conc.r' must be below half the shortest period")
     return RunConfig(values)
 
 
@@ -564,7 +568,7 @@ def _run_resume(checkpoint, out_dir):
         meta = json.load(fh)
     cfg_path = os.path.join(os.path.dirname(os.path.abspath(checkpoint)), "config.used")
     if not os.path.exists(cfg_path):
-        raise ValueError(f"missing config.used next to the checkpoint")
+        raise ValueError("missing config.used next to the checkpoint")
     rc = load_config(cfg_path)
     state = read_snapshot(checkpoint, build_grid(rc))
     os.makedirs(out_dir, exist_ok=True)

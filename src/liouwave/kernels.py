@@ -1,11 +1,11 @@
 """The numpy kernel of the stepper's per-mode update.
 
 `gautschi_combine` is the per-mode trigonometric update of the stepper;
-`propagator.Stepper` (so `evolve`, `duhamel_step` and `linear_flow`) and the
-Picard map all run through it on the stacked half spectra of all components
-at once.  The free-flow part cos*uh + sinc*vh of the position can be left
-by one call and read by the next (`free_out`, `free`), so the symmetric
-step's predictor and final position share it.  Call sites look it up as a
+`propagator.Stepper` (so `evolve` and `duhamel_step`), `linear_flow` and
+the Picard map all run through it on the stacked half spectra of all
+components at once.  The free-flow part cos*uh + sinc*vh of the position
+can be left by one call and read by the next (`free_out`, `free`), so the
+symmetric step's predictor and final position share it.  Call sites look it up as a
 module attribute at call time (``kernels.gautschi_combine``), never bind it
 at import or in a `Stepper`, so a wrapper installed on the module is seen
 everywhere.  `backend` names the implementation, for provenance records.

@@ -10,9 +10,9 @@ averages of the initial data.
 
 F runs through the propagator's per-mode update: the time-h factors and
 the masked forcing of a `propagator.Stepper` (`factors`, `forcing`) and
-`kernels.gautschi_combine`, the same ones `evolve` and `linear_flow` step
-with.  A path is held as what fixes it (`_Path`): node 0's half (rfft)
-spectra and, for each step, the forcing spectrum the step was taken with,
+`kernels.gautschi_combine`, the same ones `evolve` steps with.  A path is
+held as what fixes it (`_Path`): node 0's half (rfft) spectra and, for
+each step, the forcing spectrum the step was taken with,
 of which only the kept two-thirds band is stored when the forcing is
 dealiased (58 KB per node against 266 KB for a node's (uh, vh) at 128^2).
 A node is read by replaying the combine from node 0, bit for bit the node

@@ -9,22 +9,21 @@ with zero forcing the stepper is exact to round-off for any step size.
 The forcing's zero mode is annihilated each step, so the component averages
 obey exactly ubar+ = ubar + h*vbar with vbar constant.
 
-One object, `Stepper`, is behind every step.  It holds the time-h factors
-of `_mode_factors` (the one builder of the per-mode factors, on the half
-(rfft) columns), whether the forcing is dealiased, and the buffers of the
-step and of the forcing, and `kernels.gautschi_combine` applies the update
-to the stacked half spectra of all components in one call.  `evolve`,
-`duhamel_step`, `linear_flow`, the Picard solution map and picard-verify's
-orbit all run through it.
+One object, `Stepper`, built for the equation's `CouplingConfig`, is behind
+every step.  It holds the time-h factors of `_mode_factors` (the one
+builder of the per-mode factors, on the half (rfft) columns), whether the
+forcing is dealiased, and the buffers of the step and of the forcing, made
+once, and `kernels.gautschi_combine` applies the update to the stacked half
+spectra of all components in one call.  `evolve`, `duhamel_step`, the
+Picard solution map and picard-verify's orbit all run through it;
+`linear_flow` is the combine alone, with zero forcing.
 
-The forcing has one path, `Stepper.forcing(u) -> (fh, logz)`.  For the
-equation's `CouplingConfig` it is `rhs_fields` writing into the stepper's
-physical buffer (one exponential pass per measure with rho != 0 into a
-slice of its own, one coupling-matrix product, no mean subtraction), then
-one batched rfft, the mask and the removal of the zero mode, which is the
-one place the forcing's constant is dropped; logz are the log-normalizers
-of its measures.  A plain callable forcing (the
-`rhs_eval` of `duhamel_step`) takes the same transform path, with logz None.
+The forcing has one path, `Stepper.forcing(u) -> (fh, logz)`: `rhs_fields`
+writing into the stepper's physical buffer (one exponential pass per
+measure with rho != 0 into a slice of its own, one coupling-matrix
+product, no mean subtraction), then one batched rfft, the mask and the
+removal of the zero mode, which is the one place the forcing's constant is
+dropped; logz are the log-normalizers of its measures.
 
 The state is carried in mode space.  `Stepper.step` maps the half spectra
 (uh, vh) plus the forcing at the physical u to the new (uh, vh) and the new
@@ -43,7 +42,7 @@ exponentiated.  The physical v is made, by one irfft call, only at
 checkpoint steps and for the final state.  `Stepper.advance` (physical in
 and out) is `step` between forward transforms of u and v plus the forcing
 at u, and an inverse transform of the new v; `duhamel_step` is one
-`advance`, and so is `linear_flow`, as one frozen step with zero forcing.
+`advance`.
 
 Checkpoint steps are canonical: at every step whose global index is a
 multiple of `snapshot_every`, `evolve` hands the physical state to
@@ -123,47 +122,39 @@ def _mode_factors(grid: SpectralGrid, t: float):
 
 
 class Stepper:
-    """The time-h step of the forced wave equation on the stacked half spectra
-    of all components, for a scheme of `SCHEMES`.
+    """The time-h step of the forced wave equation of `cfg` on the stacked
+    half spectra of all components, for a scheme of `SCHEMES`.
 
-    `rhs` is the forcing: the equation's `CouplingConfig`, whose forcing
-    `rhs_fields` writes into a buffer the stepper keeps, with the
-    log-normalizers of its measures; or any map of stacked physical
-    components to forcing fields (log-normalizers None), as `duhamel_step`
-    and `linear_flow` take.  `factors` are the time-h `_mode_factors`;
-    `dealias` applies the two-thirds mask to the forcing
-    (`grid.dealias_half`).  The buffers are allocated on first use, and
-    again when the shape of what they hold changes."""
+    `factors` are the time-h `_mode_factors`; `dealias` applies the
+    two-thirds mask to the forcing (`grid.dealias_half`).  `cfg` fixes the
+    component and measure counts, so the buffers are made here once: three
+    step buffers shaped (ncomp, n1, n2//2+1) and the physical buffer of the
+    forcing, one (n1, n2) slice per component and per measure."""
 
-    def __init__(self, grid: SpectralGrid, h: float, rhs, scheme: str = "symmetric",
-                 dealias: bool = True):
+    def __init__(self, grid: SpectralGrid, h: float, cfg: CouplingConfig,
+                 scheme: str = "symmetric", dealias: bool = True):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
         self.grid = grid
-        self.rhs = rhs
+        self.cfg = cfg
         self.scheme = scheme
         self.factors = _mode_factors(grid, float(h))
         self.dealias = dealias
-        self._buffers = None
-        self._physical = None
+        half = (cfg.ncomp, grid.n1, grid.n2 // 2 + 1)
+        self._buffers = tuple(np.empty(half, dtype=np.complex128) for _ in range(3))
+        self._physical = np.empty((cfg.ncomp + cfg.ncomp_measures, grid.n1, grid.n2))
 
     def forcing(self, u):
         """The forcing at the stacked physical u as the step takes it:
         (fh, logz), fh its half spectra, masked and with the zero mode
         removed, which makes the component averages evolve exactly as
         ubar + t*vbar (so the forcing's own constant never matters), and
-        logz the log-normalizers of its measures (None for a callable
-        `rhs`).  Raises `DynamicRangeError` where `rhs_fields` does."""
-        if isinstance(self.rhs, CouplingConfig):
-            # the forcing's components, then one slice per measure
-            n = self.rhs.ncomp
-            shape = (n + self.rhs.ncomp_measures,) + u.shape[1:]
-            if self._physical is None or self._physical.shape != shape:
-                self._physical = np.empty(shape)
-            f, logz = rhs_fields(self.grid, u, self.rhs, return_log_normalizers=True,
-                                 out=self._physical[:n], work=self._physical[n:])
-        else:
-            f, logz = self.rhs(u), None
+        logz the log-normalizers of its measures.  Raises
+        `DynamicRangeError` where `rhs_fields` does."""
+        # the forcing's components, then one slice per measure
+        n = self.cfg.ncomp
+        f, logz = rhs_fields(self.grid, u, self.cfg, return_log_normalizers=True,
+                             out=self._physical[:n], work=self._physical[n:])
         fh = self.grid.to_spectral_half_stack(f)
         if self.dealias:
             self.grid.dealias_half(fh)
@@ -188,8 +179,6 @@ class Stepper:
         position in the new position's buffer, and the final combine adds
         to it.  With the forcing at the new u, evaluated by the caller, that
         is 2 + 2 batched transforms per step, 1 + 1 for the frozen one."""
-        if self._buffers is None or self._buffers[0].shape != uh.shape:
-            self._buffers = tuple(np.empty_like(uh) for _ in range(3))
         uh_new, vh_new, pred = self._buffers
         fh, free = forcing[0], None
         if self.scheme == "symmetric":
@@ -213,18 +202,21 @@ class Stepper:
 
 
 def linear_flow(state: WaveState, t: float) -> WaveState:
-    """Exact free flow by time t (any sign): one frozen step of size t with
-    zero forcing."""
-    u, v = Stepper(state.grid, t, np.zeros_like, "frozen", dealias=False).advance(state.u, state.v)
-    return WaveState(state.grid, state.t + t, u, v)
+    """Exact free flow by time t (any sign): one combine of the time-t
+    factors with zero forcing, between the transforms of the state."""
+    g = state.grid
+    uh, vh = g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v)
+    uh_t, vh_t = np.empty_like(uh), np.empty_like(vh)
+    kernels.gautschi_combine(*_mode_factors(g, float(t)), uh, vh, np.zeros_like(uh), uh_t, vh_t)
+    u, v = g.to_physical_half_stack(uh_t), g.to_physical_half_stack(vh_t)
+    return WaveState(g, state.t + t, u, v)
 
 
-def duhamel_step(state: WaveState, h: float, rhs_eval: Callable, scheme: str = "symmetric",
+def duhamel_step(state: WaveState, h: float, cfg: CouplingConfig, scheme: str = "symmetric",
                  dealias: bool = True) -> WaveState:
     """Single step of size h (sign free; the trigonometric factors give the
-    exact backward free flow for h < 0).  `rhs_eval` maps stacked physical
-    components to the forcing fields."""
-    u, v = Stepper(state.grid, h, rhs_eval, scheme, dealias).advance(state.u, state.v)
+    exact backward free flow for h < 0) of the equation of `cfg`."""
+    u, v = Stepper(state.grid, h, cfg, scheme, dealias).advance(state.u, state.v)
     return WaveState(state.grid, state.t + h, u, v)
 
 

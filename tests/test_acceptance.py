@@ -174,7 +174,7 @@ def test_criterion_5_picard_agreement():
 
     import liouwave.propagator as prop
 
-    step = prop.Stepper(grid, h, lambda u: rhs_fields(grid, u, cfg), "frozen")
+    step = prop.Stepper(grid, h, cfg, "frozen")
     u, v = st.u.copy(), st.v.copy()
     sup = 0.0
     for k, s_k in enumerate(states):
@@ -334,7 +334,7 @@ def test_criterion_10_stability_and_gradient():
 
     import liouwave.propagator as prop
 
-    step = prop.Stepper(grid, 1e-3, lambda u: rhs_fields(grid, u, cfg), "symmetric")
+    step = prop.Stepper(grid, 1e-3, cfg, "symmetric")
     ua, va = st.u.copy(), st.v.copy()
     ub, vb = pert.u.copy(), pert.v.copy()
     sup = 0.0

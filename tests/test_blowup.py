@@ -129,6 +129,11 @@ class TestDetectConcentration:
             ConcentrationQuery(m=1, r=0.5, eps=1.5)
         with pytest.raises(ValueError):
             ConcentrationQuery(m=1, r=-0.5, eps=0.1)
+        # the monitor's query defaults obey the same rules when it is made
+        for bad, msg in (({"r": -1.0}, "radius"), ({"eps": 1.5}, "eps"),
+                         ({"delta": -2.0}, "delta")):
+            with pytest.raises(ValueError, match=msg):
+                MonitorThresholds(**bad)
 
 
 class TestWindows:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from liouwave import cli, make_torus_grid, picard, propagator, random_smooth_field, rhs, wave_state_new
+from liouwave import cli, make_torus_grid, picard, propagator, random_smooth_field, wave_state_new
 from liouwave.surface import SpectralGrid
 
 BASE_CFG = """
@@ -72,6 +72,22 @@ class TestParseConfig:
     def test_matrix_key_guard(self):
         with pytest.raises(ValueError, match="toda"):
             cli.parse_config("family = sinh_gordon\nmatrix = A\n")
+
+    def test_toda_component_count(self):
+        for n in (1, 9):
+            with pytest.raises(ValueError, match="ncomp"):
+                cli.parse_config(f"family = toda\nncomp = {n}\nrho1 = 1\n")
+
+    def test_ball_radius_below_half_period(self):
+        # a larger conc.r would end an evolve run at its first alarm, and a
+        # bubble-probe at its first detection
+        for text in ("conc.r = 3.5\n", "grid.L2 = 6.0\nconc.r = 3.0\n",
+                     "scenario = bubble-probe\nconc.r = 3.2\n"):
+            with pytest.raises(ValueError, match="conc.r"):
+                cli.parse_config(text)
+        assert cli.parse_config("conc.r = 3.1\n")["conc.r"] == 3.1
+        # scenarios without the detector do not read it
+        cli.parse_config("scenario = picard-verify\ngrid.L1 = 0.8\n")
 
     def test_toda_rhos(self):
         rc = cli.parse_config("family = toda\nncomp = 3\nrho1 = 1\nrho2 = 2\nrho3 = 3\n")
@@ -477,7 +493,7 @@ class TestPicardVerify:
         rc, rep = self.run(tmp_path, PICARD_CFG)
         grid, st, cfg = self.problem(rc)
         states, _ = picard.picard_solve(st, cfg, rc["T"], rc["h"])
-        step = propagator.Stepper(grid, rc["h"], lambda u: rhs.rhs_fields(grid, u, cfg), "frozen")
+        step = propagator.Stepper(grid, rc["h"], cfg, "frozen")
         u, v = st.u.copy(), st.v.copy()
         sup = 0.0
         for k, s_k in enumerate(states):

@@ -13,7 +13,6 @@ from liouwave import (
     picard_solve,
     picard_time,
     random_smooth_field,
-    rhs_fields,
     wave_state_new,
 )
 from liouwave.picard import _NodeDistance, first_contraction_ratio
@@ -98,7 +97,7 @@ def _frozen_loop(u0h, v0h, factors, m, forcing):
 def _iterate(grid, st, h, m, k):
     # the nodes (uh, vh) of the k-th Picard iterate from the free path on m
     # steps of h, each iterate by the frozen-forcing loop over the one before
-    step = prop.Stepper(grid, h, lambda u: rhs_fields(grid, u, SG), "frozen")
+    step = prop.Stepper(grid, h, SG, "frozen")
     u0h, v0h = grid.to_spectral_half_stack(st.u), grid.to_spectral_half_stack(st.v)
     path = _frozen_loop(u0h, v0h, step.factors, m, lambda j: np.zeros_like(u0h))
     for _ in range(k):
@@ -266,7 +265,7 @@ class TestPicardSolve:
         assert rep.final_distance <= 1e-10
         assert all(r < 1.0 for r in rep.contraction_ratios)
         # the fixed point is the frozen-scheme orbit on the same grid
-        step = prop.Stepper(grid32, h, lambda u: rhs_fields(grid32, u, SG), "frozen")
+        step = prop.Stepper(grid32, h, SG, "frozen")
         u, v = st.u.copy(), st.v.copy()
         sup = 0.0
         for k, s_k in enumerate(states):
