@@ -30,7 +30,6 @@ from .functionals import (
     grad_J,
     mt_residual,
 )
-from .oracle import dense_evolve, direct_ball_mass
 from .picard import PicardReport, picard_radius, picard_solve, picard_time
 from .propagator import (
     StepperConfig,

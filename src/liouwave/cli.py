@@ -598,7 +598,7 @@ def _run_picard_verify(rc, out_dir, seed):
         state, cfg, T, h, tol=rc["picard.tol"], max_iter=rc["picard.max_iter"],
         dealias=rc["dealias"],
     )
-    sup = picard.sup_h1_distance(grid, rep.path, state, cfg, h, rc["dealias"])
+    sup = picard.sup_h1_distance(rep.path, state)
     # both first ratios are read off the solve, on its grid of m steps of h;
     # the half horizon is round(m/2) steps, one when m = 1
     m = len(states) - 1

@@ -1,8 +1,8 @@
 """The numpy kernel of the stepper's per-mode update.
 
 `gautschi_combine` is the per-mode trigonometric update of the stepper;
-`propagator.Stepper` (so `evolve` and `duhamel_step`), `linear_flow` and
-the Picard map all run through it on the stacked half spectra of all
+`propagator.Stepper` (so `evolve`, `duhamel_step` and the Picard map) and
+`linear_flow` run through it on the stacked half spectra of all
 components at once.  The free-flow part cos*uh + sinc*vh of the position
 can be left by one call and read by the next (`free_out`, `free`), so the
 symmetric step's predictor and final position share it.  Call sites look it up as a

@@ -8,26 +8,26 @@ ratios between successive iterates estimate the contraction factor, which
 shrinks roughly linearly with T.  Every iterate preserves the component
 averages of the initial data.
 
-F runs through the propagator's per-mode update: the time-h factors and
-the masked forcing of a `propagator.Stepper` (`factors`, `forcing`) and
-`kernels.gautschi_combine`, the same ones `evolve` steps with.  A path is
-held as what fixes it (`_Path`): node 0's half (rfft) spectra and, for
-each step, the forcing spectrum the step was taken with,
-of which only the kept two-thirds band is stored when the forcing is
-dealiased (58 KB per node against 266 KB for a node's (uh, vh) at 128^2).
-A node is read by replaying the combine from node 0, bit for bit the node
-the solve computed.  The iterates overwrite one path: F is causal (node j+1
+F runs through the step `evolve` takes: each path (`_Path`) holds one
+frozen `propagator.Stepper`, whose `forcing` and `step` its replays, the
+map and picard-verify's orbit all use.  A path is held as what fixes it:
+node 0's half (rfft) spectra and, for each step, the forcing spectrum the
+step was taken with, of which only the kept two-thirds band is stored when
+the forcing is dealiased (58 KB per node against 266 KB for a node's
+(uh, vh) at 128^2).  A node is read by replaying the step from node 0, bit
+for bit the node the solve computed.  Every orbit starts from a copy of
+node 0, which stays read-only; a node's arrays are taken over at the next
+step of any orbit.  The iterates overwrite one path: F is causal (node j+1
 of F(p) depends on nodes 0..j of p only), so the old path p is replayed and
-the new one advanced side by side, each in one-node buffers, and step j's
-slot takes its new forcing once p[j+1] has been replayed from the old one
-(`_correction`).  Distances are taken node by node (`_NodeDistance`: one
-product of the float view of a node's difference with the grid's
-interleaved Parseval weights), with no whole-path temporaries.
-`picard_solve` returns the nodes as a read-only sequence of states,
-replayed and transformed when read (`_States`, a view of the report's
-`path`), and picard-verify compares the stepper's orbit with the replayed
-half spectra by the same per-node distance (`sup_h1_distance`),
-transforming no node back.
+the new one advanced side by side, and step j's slot takes its new forcing
+once p[j+1] has been replayed from the old one (`_correction`).  Distances
+are taken node by node (`_NodeDistance`: one product of the float view of
+a node's difference with the grid's interleaved Parseval weights), with no
+whole-path temporaries.  `picard_solve` returns the nodes as a read-only
+sequence of states, replayed and transformed when read (`_States`, a view
+of the report's `path`), and picard-verify compares the stepper's orbit
+with the replayed half spectra by the same per-node distance
+(`sup_h1_distance`), transforming no node back.
 
 The first contraction ratio has one definition, `_first_ratio`: the sup over
 the nodes of d(F^2 u, F u) over that of d(F u, u), from the free path u.
@@ -48,7 +48,6 @@ from itertools import islice
 
 import numpy as np
 
-from . import kernels
 from .fields import WaveState
 from .propagator import Stepper
 from .rhs import CouplingConfig
@@ -97,20 +96,21 @@ class _Path:
     the two-thirds mask that block is the modes the mask keeps (rows
     |k1| <= n1//3, columns k2 <= n2//3), packed by the grid
     (`SpectralGrid.pack_kept_half`); without it, the whole half spectrum.
-    Built with zero forcing, it is the free path.
+    Built with zero forcing, it is the free path; `step` is the frozen
+    stepper every orbit of the path steps through.
 
     Nodes are read by replaying the step from node 0 (`nodes`), which gives
     bit for bit the nodes the solve computed: a dropped mode's forcing is
     an exact zero, in the stored step and in the replay."""
 
-    __slots__ = ("u0h", "v0h", "factors", "forcing", "_packing")
+    __slots__ = ("u0h", "v0h", "step", "forcing")
 
-    def __init__(self, step: Stepper, u0h, v0h, m):
-        self.u0h, self.v0h, self.factors = u0h, v0h, step.factors
-        # the grid that packs the mask's kept modes, or None: whole spectra
-        self._packing = step.grid if step.dealias else None
-        block = self._packing.kept_half_shape if self._packing else u0h.shape[1:]
-        self.forcing = np.zeros((m, u0h.shape[0]) + block, dtype=np.complex128)
+    def __init__(self, state: WaveState, cfg: CouplingConfig, h, m, dealias):
+        g = state.grid
+        self.step = Stepper(g, h, cfg, "frozen", dealias)
+        self.u0h, self.v0h = g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v)
+        block = g.kept_half_shape if dealias else self.u0h.shape[1:]
+        self.forcing = np.zeros((m, self.u0h.shape[0]) + block, dtype=np.complex128)
 
     @property
     def m(self) -> int:
@@ -118,26 +118,23 @@ class _Path:
 
     def store(self, j, fh):
         """Keep the forcing half spectra `fh` step j is taken with."""
-        if self._packing is None:
-            self.forcing[j] = fh
+        if self.step.dealias:
+            self.step.grid.pack_kept_half(fh, self.forcing[j])
         else:
-            self._packing.pack_kept_half(fh, self.forcing[j])
+            self.forcing[j] = fh
 
     def nodes(self):
-        """Nodes 0..m as (uh, vh), replayed from node 0 by
-        `kernels.gautschi_combine` with each step's forcing, unpacked into a
-        zeroed node buffer when packed.  A node's arrays are overwritten two
-        reads later, so a reader that keeps a node copies it."""
-        uh, vh = self.u0h, self.v0h
-        yield uh, vh
-        fh = None if self._packing is None else np.zeros_like(uh)
-        tmp = np.empty_like(uh)
-        out, spare = (np.empty_like(uh), np.empty_like(vh)), (np.empty_like(uh), np.empty_like(vh))
+        """Nodes 0..m as (uh, vh), replayed from a copy of node 0 by
+        `step` with each step's forcing, unpacked into a zeroed node buffer
+        when packed.  Node 0 is read-only; another node's arrays are taken
+        over at the next step of any orbit, so a reader keeps a copy."""
+        yield self.u0h, self.v0h
+        grid = self.step.grid
+        uh, vh = self.u0h.copy(), self.v0h.copy()
+        fh = np.zeros_like(uh) if self.step.dealias else None
         for j in range(self.m):
-            f = (self.forcing[j] if fh is None
-                 else self._packing.unpack_kept_half(self.forcing[j], fh))
-            kernels.gautschi_combine(*self.factors, uh, vh, f, *out, tmp=tmp)
-            (uh, vh), out, spare = out, spare, out
+            f = self.forcing[j] if fh is None else grid.unpack_kept_half(self.forcing[j], fh)
+            uh, vh = self.step.step(uh, vh, f)
             yield uh, vh
 
 
@@ -196,47 +193,45 @@ class _States(Sequence):
             yield self._state(j, uh, vh)
 
 
-def sup_h1_distance(grid, path, state0, cfg, h, dealias):
+def sup_h1_distance(path, state0):
     """sup over the Picard time grid of the H1 distance between the u of
     `path` (a Picard path, its nodes replayed) and the frozen-scheme orbit
-    started from the same data, which picard-verify reports.  The orbit is
-    stepped as `evolve` steps it, carried in mode space through
-    `Stepper.step` (per node one forward transform of the forcing and one
-    inverse transform of the new u), and each distance is the Picard
-    solve's per-node H1 distance (`_NodeDistance`) on the half spectra."""
-    step = Stepper(grid, h, cfg, "frozen", dealias)
-    u = state0.u
+    started from the same data `state0`, which picard-verify reports.  The
+    orbit is stepped as `evolve` steps it, through the path's stepper
+    (per node one forward transform of the forcing and one inverse
+    transform of the new u), and each distance is the Picard solve's
+    per-node H1 distance (`_NodeDistance`) on the half spectra."""
+    step = path.step
+    grid, u = step.grid, state0.u
     uh, vh = grid.to_spectral_half_stack(u), grid.to_spectral_half_stack(state0.v)
     dist = _NodeDistance(grid, uh.shape)
     nodes = path.nodes()
     sup = dist.h1(next(nodes)[0], uh)
     for path_uh, _ in nodes:
-        uh, vh, u = step.step(uh, vh, step.forcing(u))
+        uh, vh = step.step(uh, vh, step.forcing(u)[0])
+        u = grid.to_physical_half_stack(uh)
         sup = max(sup, dist.h1(path_uh, uh))
     return sup
 
 
-def _correction(path: _Path, step: Stepper, store: bool = True):
+def _correction(path: _Path, store: bool = True):
     """Applies the solution map F to the path p and returns, per node, the
     distance of F(p) to p (0 at node 0, the initial data in every iterate).
 
     F(p) starts from p's node 0 and steps node j with the forcing frozen at
     p[j].  The previous iterate p (replayed) and the new one advance side by
-    side, node by node in buffers of their own.  With `store`, F(p) is kept
-    over p: F is causal, so slot j takes the forcing of step j once p[j+1]
-    has been replayed from the old one.  Without it p is only read."""
-    grid = step.grid
+    side, node by node through the path's stepper.  With `store`, F(p) is
+    kept over p: F is causal, so slot j takes the forcing of step j once
+    p[j+1] has been replayed from the old one.  Without it p is only read."""
+    step, grid = path.step, path.step.grid
     old = path.nodes()
     pu, _ = next(old)
-    uh, vh = path.u0h, path.v0h
-    tmp = np.empty_like(uh)
-    out, spare = (np.empty_like(uh), np.empty_like(vh)), (np.empty_like(uh), np.empty_like(vh))
+    uh, vh = path.u0h.copy(), path.v0h.copy()
     dist = _NodeDistance(grid, uh.shape)
     d = np.zeros(path.m + 1)
     for j in range(path.m):
         fh, _ = step.forcing(grid.to_physical_half_stack(pu))
-        kernels.gautschi_combine(*step.factors, uh, vh, fh, *out, tmp=tmp)
-        (uh, vh), out, spare = out, spare, out
+        uh, vh = step.step(uh, vh, fh)
         pu, pv = next(old)
         d[j + 1] = dist(uh, vh, pu, pv)
         if store:
@@ -244,23 +239,14 @@ def _correction(path: _Path, step: Stepper, store: bool = True):
     return d
 
 
-def _initial_iterate(state, cfg, h, m, dealias):
-    """The free path on m steps of h from the state's data (zero forcing),
-    and the frozen stepper of its solution map."""
-    g = state.grid
-    step = Stepper(g, h, cfg, "frozen", dealias)
-    u0h, v0h = g.to_spectral_half_stack(state.u), g.to_spectral_half_stack(state.v)
-    return _Path(step, u0h, v0h, m), step
-
-
-def _first_distances(first, path: _Path, step: Stepper) -> tuple:
+def _first_distances(first, path: _Path) -> tuple:
     """The per-node distances of the first two corrections from the free
     path: `first`, those of the iterations counted so far (at least one),
     completed, when it holds only the first and that does not vanish, by
     the second correction, read off the last iterate `path` without
     storing it."""
     if len(first) == 1 and float(first[0].max()) > _VANISHING:
-        first = [*first, _correction(path, step, store=False)]
+        first = [*first, _correction(path, store=False)]
     return tuple(first)
 
 
@@ -300,7 +286,7 @@ def picard_solve(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     m = max(1, int(round(T / h)))
-    path, step = _initial_iterate(state, cfg, h, m, dealias)
+    path = _Path(state, cfg, h, m, dealias)
 
     ratios = []
     distances = []
@@ -308,7 +294,7 @@ def picard_solve(
     converged = False
     rising = 0
     for _ in range(max_iter):
-        node_d = _correction(path, step)
+        node_d = _correction(path)
         d = float(node_d.max())
         if len(first) < 2:
             first.append(node_d)
@@ -329,7 +315,7 @@ def picard_solve(
         contraction_ratios=ratios,
         converged=converged,
         final_distance=distances[-1],
-        first_distances=_first_distances(first, path, step),
+        first_distances=_first_distances(first, path),
         path=path,
     )
     return _States(state.grid, state.t, h, path), report
@@ -338,8 +324,8 @@ def picard_solve(
 def first_contraction_ratio(state, cfg, T, steps=32, dealias=True) -> float:
     """d(F^2 u, F u) / d(F u, u) starting from the free path on `steps` steps
     of T/steps; 0 for data whose first correction already vanishes."""
-    path, step = _initial_iterate(state, cfg, T / steps, steps, dealias)
-    return _first_ratio(_first_distances([_correction(path, step)], path, step))
+    path = _Path(state, cfg, T / steps, steps, dealias)
+    return _first_ratio(_first_distances([_correction(path)], path))
 
 
 def picard_time(

@@ -26,22 +26,23 @@ removal of the zero mode, which is the one place the forcing's constant is
 dropped; logz are the log-normalizers of its measures.
 
 The state is carried in mode space.  `Stepper.step` maps the half spectra
-(uh, vh) plus the forcing at the physical u to the new (uh, vh) and the new
-physical u, writing into the stepper's buffers; a symmetric step computes
+(uh, vh) plus the forcing spectrum at u to the new (uh, vh) in the
+stepper's buffers, transforming nothing back; a symmetric step computes
 the free flow cos*uh + sinc*vh of the position once, for its predictor and
-its final position.  `evolve` then evaluates the forcing at the new u,
-after the step's finiteness checks, and carries it into the next step; that
-is the same arithmetic as evaluating it at the start of the next step.
-Every transform is one batched call over the components, so a symmetric
-step costs 2 rfft + 2 irfft calls whatever the component count (the
-frozen step 1 + 1), plus the one forcing at the initial state.
+its final position.  `evolve` transforms the new uh and evaluates the
+forcing at the new u, after the step's finiteness checks, and carries it
+into the next step; that is the same arithmetic as evaluating it at the
+start of the next step.  Every transform is one batched call over the
+components, so a symmetric step costs 2 rfft + 2 irfft calls whatever the
+component count (the frozen step 1 + 1), plus the one forcing at the
+initial state.
 Samples read what `evolve` carries: the report and the monitor get the half
 spectra, the physical u and the log-normalizers of the carried forcing, so
 a sample makes no transform and no log-sum-exp for a measure the forcing
 exponentiated.  The physical v is made, by one irfft call, only at
 checkpoint steps and for the final state.  `Stepper.advance` (physical in
 and out) is `step` between forward transforms of u and v plus the forcing
-at u, and an inverse transform of the new v; `duhamel_step` is one
+at u, and inverse transforms of the new u and v; `duhamel_step` is one
 `advance`.
 
 Checkpoint steps are canonical: at every step whose global index is a
@@ -161,11 +162,11 @@ class Stepper:
         fh[:, 0, 0] = 0.0
         return fh, logz
 
-    def step(self, uh, vh, forcing):
+    def step(self, uh, vh, fh):
         """One step of the state carried in mode space: the half spectra
-        (uh, vh) and the forcing at u as `forcing` returns it.  Returns the
-        new (uh, vh, u) with u the physical image of the new uh, on which the
-        caller evaluates the next forcing.
+        (uh, vh) and the forcing spectrum `fh` at u, as `forcing` returns
+        it.  Returns the new (uh, vh); a caller that needs the physical u
+        transforms the new uh.
 
         The new spectra are written into the stepper's buffers, which then
         keep the (uh, vh) read here for the next step to overwrite: the
@@ -177,10 +178,9 @@ class Stepper:
         (one rfft, after one irfft) and steps with the average of the two
         forcings; the predictor leaves the free flow cos*uh + sinc*vh of the
         position in the new position's buffer, and the final combine adds
-        to it.  With the forcing at the new u, evaluated by the caller, that
-        is 2 + 2 batched transforms per step, 1 + 1 for the frozen one."""
+        to it.  The frozen step is the combine alone."""
         uh_new, vh_new, pred = self._buffers
-        fh, free = forcing[0], None
+        free = None
         if self.scheme == "symmetric":
             # the velocity buffer is free until the last combine: its scratch here
             kernels.gautschi_combine(*self.factors, uh, vh, fh, pred, tmp=vh_new,
@@ -191,14 +191,14 @@ class Stepper:
             fh, free = f1h, uh_new
         kernels.gautschi_combine(*self.factors, uh, vh, fh, uh_new, vh_new, tmp=pred, free=free)
         self._buffers = (uh, vh, pred)
-        return uh_new, vh_new, self.grid.to_physical_half_stack(uh_new)
+        return uh_new, vh_new
 
     def advance(self, u, v):
         """One step on stacked physical arrays; returns the new (u, v)."""
         g = self.grid
-        _, vh, u_new = self.step(g.to_spectral_half_stack(u), g.to_spectral_half_stack(v),
-                                 self.forcing(u))
-        return u_new, g.to_physical_half_stack(vh)
+        uh, vh = self.step(g.to_spectral_half_stack(u), g.to_spectral_half_stack(v),
+                           self.forcing(u)[0])
+        return g.to_physical_half_stack(uh), g.to_physical_half_stack(vh)
 
 
 def linear_flow(state: WaveState, t: float) -> WaveState:
@@ -304,12 +304,12 @@ def evolve(
     status = STATUS_COMPLETED
     for k in range(1, n_steps + 1):
         try:
-            uh, vh, u = step.step(uh, vh, forcing)
+            uh, vh = step.step(uh, vh, forcing[0])
         except DynamicRangeError:
             status = STATUS_NONFINITE
             stop("non_finite", np.nan)
             break
-        v = None
+        u, v = g.to_physical_half_stack(uh), None
         gk = first_step_index + k
         t = t0 + gk * stepper.h
         max_u = max(float(u.max()), -float(u.min()))  # max|u|; NaN when u has one

@@ -316,9 +316,9 @@ def rhs_fields(grid: SpectralGrid, u: np.ndarray, cfg: CouplingConfig,
     the measures m of `equation_measures(cfg)` with rho_m != 0, dens_m the
     density of the measure on component c_m.  It leaves out the -rho/|M|
     offsets and keeps its discrete mean, because the integrators drop the
-    forcing's zero mode (`propagator.Stepper.forcing`,
-    `oracle.dense_evolve`).  `rhs_scalar` and `rhs_toda` give the zero-mean
-    forcing.
+    forcing's zero mode (`propagator.Stepper.forcing`, and the test
+    suite's dense reference integrator, `dense_evolve` in `tests/oracle.py`).
+    `rhs_scalar` and `rhs_toda` give the zero-mean forcing.
 
     Each measure with rho != 0 takes one exponential pass into its own
     slice of `work`; one matrix product then applies the coefficients

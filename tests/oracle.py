@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import WaveState
-from .surface import SpectralGrid
+from liouwave.fields import WaveState
+from liouwave.surface import SpectralGrid
 
 
 def _dft_matrix(n: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every tolerance is pinned here; the random data is seeded and the expected
-behavior was derived with the independent oracles in liouwave.oracle or
+behavior was derived with the independent oracles in tests/oracle.py or
 directly from the defining formulas.  Run with `pytest tests/test_acceptance.py -v -s`
 to see the summary lines.
 """
@@ -20,7 +20,6 @@ from liouwave import (
     bubble_field,
     cartan_matrix,
     concentration_window,
-    dense_evolve,
     density,
     detect_concentration,
     energy,
@@ -34,6 +33,7 @@ from liouwave import (
     wave_state_new,
 )
 from liouwave.picard import first_contraction_ratio
+from oracle import dense_evolve
 
 LOG_AREA = np.log(4 * np.pi**2)
 

@@ -12,11 +12,11 @@ from liouwave import (
     concentration_window,
     density,
     detect_concentration,
-    direct_ball_mass,
     functional_J,
     random_smooth_field,
     wave_state_new,
 )
+from oracle import direct_ball_mass
 
 
 class TestDensity:

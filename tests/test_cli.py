@@ -512,6 +512,20 @@ class TestPicardVerify:
         _, first = self.run(tmp_path, PICARD_BENCH_CFG + "picard.max_iter = 1\n")
         assert float(first["sup_h1_vs_stepper"]) > 1e-8
 
+    def test_one_stepper(self, tmp_path, monkeypatch):
+        # the solve, its replays and the stepper's orbit share the path's
+        # one frozen stepper
+        built = []
+        init = propagator.Stepper.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(propagator.Stepper, "__init__", counted)
+        self.run(tmp_path, PICARD_BENCH_CFG)
+        assert len(built) == 1
+
     def test_transform_count(self, tmp_path, monkeypatch):
         # one solve of 4 iterations on 50 steps, 2 + 4*(50 + 50) real
         # transforms; one frozen orbit, 2 + 50 + 50; 1 rfft2 for the radius;

@@ -15,7 +15,7 @@ from liouwave import (
     random_smooth_field,
     wave_state_new,
 )
-from liouwave.picard import _NodeDistance, first_contraction_ratio
+from liouwave.picard import _NodeDistance, first_contraction_ratio, sup_h1_distance
 
 
 def small_state(grid, amp=0.05, seed=20):
@@ -94,10 +94,10 @@ def _frozen_loop(u0h, v0h, factors, m, forcing):
     return uh, vh
 
 
-def _iterate(grid, st, h, m, k):
+def _iterate(grid, st, h, m, k, dealias=True):
     # the nodes (uh, vh) of the k-th Picard iterate from the free path on m
     # steps of h, each iterate by the frozen-forcing loop over the one before
-    step = prop.Stepper(grid, h, SG, "frozen")
+    step = prop.Stepper(grid, h, SG, "frozen", dealias)
     u0h, v0h = grid.to_spectral_half_stack(st.u), grid.to_spectral_half_stack(st.v)
     path = _frozen_loop(u0h, v0h, step.factors, m, lambda j: np.zeros_like(u0h))
     for _ in range(k):
@@ -111,11 +111,11 @@ class TestOnePathBuffer:
     """The iterates overwrite one path; the solve returns its last counted
     iterate, also when it draws one more for the first ratio."""
 
-    def check_last_counted(self, grid, st, states, rep, h):
+    def check_last_counted(self, grid, st, states, rep, h, dealias=True):
         # the path's replayed nodes are those of the counted iterate, bit
         # for bit, and the states are their transforms
         m = len(states) - 1
-        expect_uh, expect_vh = _iterate(grid, st, h, m, rep.iterations)
+        expect_uh, expect_vh = _iterate(grid, st, h, m, rep.iterations, dealias)
         read = 0
         for j, ((uh, vh), s) in enumerate(zip(rep.path.nodes(), states)):
             assert np.array_equal(uh, expect_uh[j]) and np.array_equal(vh, expect_vh[j])
@@ -138,6 +138,20 @@ class TestOnePathBuffer:
         assert not rep.converged and rep.iterations < 12
         assert all(r >= 1.0 for r in rep.contraction_ratios[-3:])
         self.check_last_counted(grid32, st, states, rep, 0.5)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_orbits_through_the_one_stepper_leave_node_0(self, grid32, dealias):
+        # the solve, picard-verify's orbit and two interleaved replays all
+        # step through the path's stepper, each from a copy of node 0: node
+        # 0 stays the data's transforms and the replays the counted iterate
+        st = small_state(grid32)
+        states, rep = picard_solve(st, SG, 0.05, 1e-3, dealias=dealias)
+        u0h, v0h = rep.path.u0h.copy(), rep.path.v0h.copy()
+        assert np.array_equal(u0h, grid32.to_spectral_half_stack(st.u))
+        assert np.array_equal(v0h, grid32.to_spectral_half_stack(st.v))
+        assert sup_h1_distance(rep.path, st) <= 1e-8
+        self.check_last_counted(grid32, st, states, rep, 1e-3, dealias)
+        assert np.array_equal(rep.path.u0h, u0h) and np.array_equal(rep.path.v0h, v0h)
 
 
 def _traced_peak(run):
