@@ -89,6 +89,14 @@ def _at_least_one(x):
     return x
 
 
+def _each(constraint):
+    def check(values):
+        for x in values:
+            constraint(x)
+        return values
+    return check
+
+
 def _choice(*options):
     def check(x):
         if x not in options:
@@ -143,7 +151,7 @@ SCHEMA = {
     "picard.tol": (float, 1e-10, _positive),
     "picard.max_iter": (int, 60, _positive),
     "scan.values": (_parse_float_list, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0), None),
-    "probe.lams": (_parse_float_list, (2.0, 4.0, 8.0, 16.0, 32.0), None),
+    "probe.lams": (_parse_float_list, (2.0, 4.0, 8.0, 16.0, 32.0), _each(_at_least_one)),
 }
 
 _RHO_KEYS = tuple(f"rho{i}" for i in range(1, 9))
@@ -256,6 +264,8 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError("config key 'ncomp': toda takes 2 to 8 components")
     if family == "toda" and values["matrix"] == "G2" and values["ncomp"] != 2:
         raise ValueError("matrix G2 forces ncomp = 2")
+    if values["scenario"] == "picard-verify" and not values["T"] > 0:
+        raise ValueError("config key 'T' must be positive for picard-verify")
     # the detector's balls (evolve's alarms, bubble-probe) must fit the torus
     if values["scenario"] in ("evolve", "bubble-probe") and not (
             values["conc.r"] < min(values["grid.L1"], values["grid.L2"]) / 2):
@@ -560,17 +570,25 @@ def _run_resume(checkpoint, out_dir):
     `propagator`) and writes the checkpoints it reaches, with the original
     run's metadata and a copy of its config.used, so it can be resumed in
     turn, also after it was killed.  A checkpoint without its `.json` is
-    incomplete and refused."""
+    incomplete and refused, as is one whose `.json` lacks a field or whose
+    snapshot does not hold the config's components; nothing is written
+    then."""
     meta_path = os.path.splitext(checkpoint)[0] + ".json"
     if not os.path.exists(meta_path):
         raise ValueError(f"missing checkpoint metadata {meta_path}")
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
+    missing = [key for key in ("step", "t0", "E0", "seed") if key not in meta]
+    if missing:
+        raise ValueError(f"checkpoint {checkpoint}: its metadata lacks {', '.join(missing)}")
     cfg_path = os.path.join(os.path.dirname(os.path.abspath(checkpoint)), "config.used")
     if not os.path.exists(cfg_path):
         raise ValueError("missing config.used next to the checkpoint")
     rc = load_config(cfg_path)
     state = read_snapshot(checkpoint, build_grid(rc))
+    if state.ncomp != rc.ncomp:
+        raise ValueError(f"checkpoint {checkpoint}: {state.ncomp} components, "
+                         f"config.used has {rc.ncomp}")
     os.makedirs(out_dir, exist_ok=True)
     cfg_copy = os.path.join(out_dir, "config.used")
     if not (os.path.exists(cfg_copy) and os.path.samefile(cfg_path, cfg_copy)):

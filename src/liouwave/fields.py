@@ -20,6 +20,9 @@ STATUS_BLOWUP = "blow-up-alarm"
 STATUS_NONFINITE = "non-finite"
 STATUS_MAXSTEPS = "max-steps"
 
+# a run's status by its stop condition (None: it reached T); any other is an alarm
+STATUS_OF_STOP = {None: STATUS_COMPLETED, "non_finite": STATUS_NONFINITE, "max_steps": STATUS_MAXSTEPS}
+
 
 @dataclass
 class WaveState:
@@ -52,22 +55,32 @@ class StopReason:
     value: float
     t: float
 
+    def __post_init__(self):
+        self.value, self.t = float(self.value), float(self.t)
+
     def __str__(self):
         return f"{self.condition} = {self.value!r} at t = {self.t!r}"
 
 
 @dataclass
 class Trajectory:
-    """Sampled run: times, per-sample functional reports, termination status
-    and, unless the run reached its target time, the condition that stopped
-    it."""
+    """Sampled run: per-sample reports, the stop reason unless it reached its
+    target time, the detector's reports of an alarm and the final state;
+    `times` and `status` (`STATUS_OF_STOP`) follow from them, read-only."""
 
-    times: list = field(default_factory=list)
     reports: list = field(default_factory=list)
-    status: str = STATUS_COMPLETED
     stop_reason: Optional[StopReason] = None
     concentration: list = field(default_factory=list)
     final_state: Optional[WaveState] = None
+
+    @property
+    def times(self) -> list:
+        return [r.t for r in self.reports]
+
+    @property
+    def status(self) -> str:
+        reason = self.stop_reason
+        return STATUS_OF_STOP.get(None if reason is None else reason.condition, STATUS_BLOWUP)
 
 
 def _stack_components(grid, arrs, what):

@@ -197,19 +197,22 @@ def sup_h1_distance(path, state0):
     """sup over the Picard time grid of the H1 distance between the u of
     `path` (a Picard path, its nodes replayed) and the frozen-scheme orbit
     started from the same data `state0`, which picard-verify reports.  The
-    orbit is stepped as `evolve` steps it, through the path's stepper
-    (per node one forward transform of the forcing and one inverse
-    transform of the new u), and each distance is the Picard solve's
-    per-node H1 distance (`_NodeDistance`) on the half spectra."""
+    orbit starts from a copy of the path's node 0, the transforms of
+    `state0`, and is stepped as `evolve` steps it, through the path's
+    stepper: per step one forward transform of the forcing and, but for
+    the last, one inverse transform of the new u.  Each distance is the
+    Picard solve's per-node H1 distance (`_NodeDistance`) on the half
+    spectra."""
     step = path.step
     grid, u = step.grid, state0.u
-    uh, vh = grid.to_spectral_half_stack(u), grid.to_spectral_half_stack(state0.v)
+    uh, vh = path.u0h.copy(), path.v0h.copy()
     dist = _NodeDistance(grid, uh.shape)
     nodes = path.nodes()
     sup = dist.h1(next(nodes)[0], uh)
-    for path_uh, _ in nodes:
+    for j, (path_uh, _) in enumerate(nodes, start=1):
         uh, vh = step.step(uh, vh, step.forcing(u)[0])
-        u = grid.to_physical_half_stack(uh)
+        if j < path.m:
+            u = grid.to_physical_half_stack(uh)
         sup = max(sup, dist.h1(path_uh, uh))
     return sup
 

@@ -55,6 +55,10 @@ keeps no checkpoint itself: the callback gets the live state, which a
 caller that keeps it clones, so a run's memory does not grow with its
 number of checkpoints.  Samples leave the same way, through `on_sample`, as
 they are taken.
+
+`evolve` steps while no stop reason is set and records the reason once;
+the run's status follows from it (`fields.STATUS_OF_STOP`).  Its docstring
+tables each condition with its value, time and status.
 """
 
 from __future__ import annotations
@@ -66,15 +70,7 @@ import numpy as np
 
 from . import kernels
 from .blowup import MonitorThresholds, alarm_condition, blowup_monitor
-from .fields import (
-    STATUS_BLOWUP,
-    STATUS_COMPLETED,
-    STATUS_MAXSTEPS,
-    STATUS_NONFINITE,
-    StopReason,
-    Trajectory,
-    WaveState,
-)
+from .fields import StopReason, Trajectory, WaveState
 from .functionals import evaluate_report
 from .rhs import CouplingConfig, DynamicRangeError, rhs_fields
 from .surface import SpectralGrid
@@ -235,14 +231,27 @@ def evolve(
     """Run the fixed-step flow from state.t to T (rounded to a whole number
     of steps) with functional sampling and optional blow-up monitoring.
 
-    Numeric stop conditions terminate with a recorded status and
-    `stop_reason`, never an exception.  `first_step_index`/`t_origin` keep
-    sampling phase and time arithmetic identical when a run is resumed from
-    a checkpoint.  `on_sample(t, report)` is called with each sample as it
-    is taken; at each checkpoint step (global step index a multiple of
-    `snapshot_every`, 0 for none) `on_checkpoint(step_index, state)` gets
-    the live state, to be cloned by a caller that keeps it.  An exception
-    raised by a callback ends the run and propagates.
+    Numeric stop conditions end the run with its `stop_reason`, never an
+    exception, and the status follows from the condition
+    (`fields.STATUS_OF_STOP`; no condition: completed).  A sample checks the
+    first two rows (the monitor's only when one is given), a step the rest:
+
+    condition           value                           time            status
+    ------------------  ------------------------------  --------------  -------------
+    grad_l2, log_int()  the monitor's alarm signal      the sample      blow-up-alarm
+    max_grad_l2         the sample's gradient norm      the sample      blow-up-alarm
+    non_finite          NaN: the predictor's forcing    previous slice  non-finite
+    non_finite          max|u|: u, vh or forcing at u   new slice       non-finite
+    max_abs_u           max|u|, if its sample set none  new slice       blow-up-alarm
+    max_steps           the steps taken, at the cap     last slice      max-steps
+
+    `first_step_index`/`t_origin` keep sampling phase and time arithmetic
+    identical when a run is resumed from a checkpoint.  `on_sample(t,
+    report)` is called with each sample as it is taken; at each checkpoint
+    step (global step index a multiple of `snapshot_every`, 0 for none)
+    `on_checkpoint(step_index, state)` gets the live state, to be cloned by
+    a caller that keeps it.  An exception raised by a callback ends the run
+    and propagates.
     """
     g = state.grid
     if T < state.t:
@@ -251,8 +260,7 @@ def evolve(
     t0 = state.t if t_origin is None else float(t_origin)
     n_steps = int(round((T - state.t) / stepper.h))
     capped = n_steps > stepper.max_steps
-    if capped:
-        n_steps = stepper.max_steps
+    n_steps = min(n_steps, stepper.max_steps)
 
     traj = Trajectory()
     u, v = state.u.copy(), state.v.copy()
@@ -270,18 +278,13 @@ def evolve(
             v = g.to_physical_half_stack(vh)
         return WaveState(g, t, u, v)
 
-    def stop(condition, value):
-        traj.stop_reason = StopReason(condition, float(value), float(t))
-
-    def sample() -> bool:
-        """Record a report; returns True, with the stop reason set, when the
-        monitor raises the alarm or the gradient norm reaches its hard
-        limit.  Report and monitor read the carried spectra, the physical u
-        and the carried forcing's log-normalizers, so a sample makes no
-        transform (state.v may be stale, None)."""
+    def sample() -> Optional[StopReason]:
+        """Record a report; returns the stop reason it trips, or None.
+        Report and monitor read the carried spectra, the physical u and the
+        carried forcing's log-normalizers, so a sample makes no transform
+        (state.v may be stale, None)."""
         state_t = WaveState(g, t, u, v)
         report = evaluate_report(state_t, cfg, spectra=(uh, vh), log_normalizers=forcing[1])
-        traj.times.append(t)
         traj.reports.append(report)
         if on_sample is not None:
             on_sample(t, report)
@@ -289,40 +292,29 @@ def evolve(
             status, reports = blowup_monitor(state_t, cfg, monitor, report=report)
             if status == "alarm":
                 traj.concentration = reports
-                stop(*alarm_condition(report, cfg, monitor))
-                return True
+                return StopReason(*alarm_condition(report, cfg, monitor), t)
         if report.grad_l2 >= stepper.max_grad_l2:
-            stop("max_grad_l2", report.grad_l2)
-            return True
-        return False
+            return StopReason("max_grad_l2", report.grad_l2, t)
+        return None
 
-    if sample():
-        traj.status = STATUS_BLOWUP
-        traj.final_state = current_state().clone()
-        return traj
-
-    status = STATUS_COMPLETED
-    for k in range(1, n_steps + 1):
+    reason = sample()
+    k = 0
+    while reason is None and k < n_steps:
+        k += 1
+        gk = first_step_index + k
+        max_u = np.nan  # what a predictor that raises reads: it makes no new slice
         try:
             uh, vh = step.step(uh, vh, forcing[0])
-        except DynamicRangeError:
-            status = STATUS_NONFINITE
-            stop("non_finite", np.nan)
-            break
-        u, v = g.to_physical_half_stack(uh), None
-        gk = first_step_index + k
-        t = t0 + gk * stepper.h
-        max_u = max(float(u.max()), -float(u.min()))  # max|u|; NaN when u has one
-        vf = vh.view(np.float64)  # max and min carry a NaN or an inf, with no temporary
-        finite = bool(np.isfinite(max_u) and np.isfinite(vf.max()) and np.isfinite(vf.min()))
-        if finite:
-            try:
+            u, v, t = g.to_physical_half_stack(uh), None, t0 + gk * stepper.h
+            max_u = max(float(u.max()), -float(u.min()))  # max|u|; NaN when u has one
+            vf = vh.view(np.float64)  # max and min carry a NaN or an inf, with no temporary
+            finite = bool(np.isfinite(max_u) and np.isfinite(vf.max()) and np.isfinite(vf.min()))
+            if finite:
                 forcing = step.forcing(u)
-            except DynamicRangeError:
-                finite = False
+        except DynamicRangeError:
+            finite = False
         if not finite:
-            status = STATUS_NONFINITE
-            stop("non_finite", max_u)
+            reason = StopReason("non_finite", max_u, t)
             break
         if snapshot_every and gk % snapshot_every == 0:
             checkpoint = current_state()
@@ -333,18 +325,12 @@ def evolve(
             uh, vh = g.to_spectral_half_stack(u), g.to_spectral_half_stack(v)
         hard_stop = max_u >= stepper.max_abs_u
         if gk % stepper.sample_every == 0 or k == n_steps or hard_stop:
-            if sample():
-                status = STATUS_BLOWUP
-                break
-            if hard_stop:
-                stop("max_abs_u", max_u)
-                status = STATUS_BLOWUP
-                break
-    else:
-        if capped:
-            status = STATUS_MAXSTEPS
-            stop("max_steps", n_steps)
+            reason = sample()
+            if reason is None and hard_stop:
+                reason = StopReason("max_abs_u", max_u, t)
+    if reason is None and capped:
+        reason = StopReason("max_steps", n_steps, t)
 
-    traj.status = status
+    traj.stop_reason = reason
     traj.final_state = current_state().clone()
     return traj

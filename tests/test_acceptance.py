@@ -111,6 +111,7 @@ def test_criterion_2_mean_conservation_battery():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_energy_conservation_sinh():
     grid = make_torus_grid(128, 128)
     cfg = CouplingConfig("sinh_gordon", (4 * np.pi, 4 * np.pi))
@@ -138,6 +139,7 @@ def test_criterion_3_energy_conservation_sinh():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_energy_conservation_toda():
     grid = make_torus_grid(128, 128)
     cfg = CouplingConfig("toda", (3 * np.pi, 3 * np.pi), matrix=cartan_matrix("A", 2))
@@ -202,6 +204,7 @@ def test_criterion_5_picard_agreement():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_oracle_equivalence():
     grid = make_torus_grid(16, 16)
     cfg = CouplingConfig("sinh_gordon", (np.pi, np.pi))
@@ -223,6 +226,7 @@ def test_criterion_6_oracle_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_subcritical_boundedness():
     grid = make_torus_grid(64, 64)
     cfg = CouplingConfig("sinh_gordon", (7 * np.pi, 7 * np.pi))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from liouwave import cli, make_torus_grid, picard, propagator, random_smooth_field, wave_state_new
+from liouwave.fields import WaveState
 from liouwave.surface import SpectralGrid
 
 BASE_CFG = """
@@ -88,6 +89,18 @@ class TestParseConfig:
         assert cli.parse_config("conc.r = 3.1\n")["conc.r"] == 3.1
         # scenarios without the detector do not read it
         cli.parse_config("scenario = picard-verify\ngrid.L1 = 0.8\n")
+
+    def test_picard_verify_horizon_positive(self):
+        # picard-verify solves on (0, T]: T = 0 is refused by the parser,
+        # not by the solve after config.used is written; evolve takes it
+        with pytest.raises(ValueError, match="'T'"):
+            cli.parse_config("scenario = picard-verify\nT = 0\n")
+        assert cli.parse_config("T = 0\n")["T"] == 0.0
+
+    def test_probe_lams_at_least_one(self):
+        with pytest.raises(ValueError, match="probe.lams"):
+            cli.parse_config("scenario = bubble-probe\nprobe.lams = 2.0, 0.5\n")
+        assert cli.parse_config("probe.lams = 1.0, 3.0\n")["probe.lams"] == (1.0, 3.0)
 
     def test_toda_rhos(self):
         rc = cli.parse_config("family = toda\nncomp = 3\nrho1 = 1\nrho2 = 2\nrho3 = 3\n")
@@ -528,7 +541,8 @@ class TestPicardVerify:
 
     def test_transform_count(self, tmp_path, monkeypatch):
         # one solve of 4 iterations on 50 steps, 2 + 4*(50 + 50) real
-        # transforms; one frozen orbit, 2 + 50 + 50; 1 rfft2 for the radius;
+        # transforms; one frozen orbit from a copy of the path's node 0,
+        # 50 + 49 (its last u is not transformed back); 1 rfft2 for the radius;
         # full transforms: 2 ifft2 + 1 fft2 for the data.  The solve's states
         # are transformed only when read, and picard-verify reads none.
         methods = {"to_spectral_half_stack": "rfft2", "to_physical_half_stack": "irfft2",
@@ -541,7 +555,7 @@ class TestPicardVerify:
             monkeypatch.setattr(SpectralGrid, name, counted)
         _, rep = self.run(tmp_path, PICARD_BENCH_CFG)
         assert rep["iterations"] == "4"
-        assert counts == {"rfft2": 255, "irfft2": 250, "fft2": 1, "ifft2": 2}
+        assert counts == {"rfft2": 253, "irfft2": 249, "fft2": 1, "ifft2": 2}
 
 
 class TestMain:
@@ -579,6 +593,39 @@ class TestMain:
         code = cli.main(["resume", str(out / "checkpoint_step00000020.lwav")])
         assert code == 1
         assert "missing checkpoint metadata" in capsys.readouterr().err
+
+    def test_resume_refuses_metadata_without_a_field(self, tmp_path, capsys):
+        # checked before the resume's directory and its config.used are made
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        meta = out / "checkpoint_step00000020.json"
+        fields = json.loads(meta.read_text())
+        del fields["E0"]
+        meta.write_text(json.dumps(fields))
+        ckpt = out / "checkpoint_step00000020.lwav"
+        assert cli.main(["resume", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "E0" in err
+        assert not (out / "resumed_checkpoint_step00000020").exists()
+
+    def test_resume_refuses_snapshot_of_another_component_count(self, tmp_path, capsys):
+        # a one-component snapshot next to a two-component Toda config.used
+        # is refused before the telemetry and the CSV are started
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = toda\nrho1 = 6.0\nrho2 = 5.0\ngrid.n1 = 16\ngrid.n2 = 16\n"
+                       "T = 0.1\nh = 0.01\ncheckpoint_every = 5\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        ckpt = out / "checkpoint_step00000005.lwav"
+        snap = cli.read_snapshot(str(ckpt))
+        cli.write_snapshot(WaveState(snap.grid, snap.t, snap.u[:1], snap.v[:1]), str(ckpt))
+        res = tmp_path / "resumed"
+        assert cli.main(["resume", str(ckpt), "--out", str(res)]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "components" in err
+        assert not res.exists()
 
     def test_import_loads_no_scipy(self):
         # the package's one FFT library is numpy.fft: importing the package

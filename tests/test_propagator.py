@@ -18,6 +18,7 @@ from liouwave import (
     wave_state_new,
 )
 from liouwave.fields import STATUS_BLOWUP, STATUS_COMPLETED, STATUS_MAXSTEPS, STATUS_NONFINITE
+from liouwave.rhs import DynamicRangeError
 from oracle import dense_evolve
 
 
@@ -262,11 +263,7 @@ class TestEvolve:
     def test_stop_reason_names_the_alarmed_measure(self, grid32):
         # a monitor alarm on a log-integral names the measure; here the
         # bubble sits in the second component of a Toda system
-        cfg = CouplingConfig("toda", (5 * np.pi, 5 * np.pi), matrix=cartan_matrix("A", 2))
-        u0 = np.stack([np.zeros((32, 32)), bubble_field(grid32, (np.pi, np.pi), 16.0)])
-        st = wave_state_new(grid32, u0, np.zeros_like(u0))
-        monitor = MonitorThresholds(grad_l2=1e9, log_int=8.0)
-        traj = evolve(st, 0.1, StepperConfig(h=1e-2), cfg, monitor=monitor)
+        traj = initial_alarm_run(grid32)[1]
         reason = traj.stop_reason
         assert traj.status == STATUS_BLOWUP
         assert reason.condition == "log_int(e^{u_2})"
@@ -352,6 +349,130 @@ class TestEvolve:
         st = eigenmode_state(grid32)
         with pytest.raises(ValueError, match="precedes"):
             evolve(st, -1.0, StepperConfig(h=1e-2), cfg)
+
+
+def raise_at_forcing_call(monkeypatch, n):
+    """Make the n-th `rhs_fields` call of `evolve`'s stepper raise
+    `DynamicRangeError`.  The symmetric scheme calls it for the initial
+    forcing, then per step for the predictor and for the new state."""
+    calls = {"n": 0}
+    real = prop.rhs_fields
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == n:
+            raise DynamicRangeError("out of range")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(prop, "rhs_fields", counted)
+
+
+def velocity_driven_state(grid):
+    """u = 0, v = cos x1: with no forcing u = sin(t) cos x1, whose gradient
+    norm grows from 0 over the first quarter period."""
+    x1, _ = grid.mesh()
+    return wave_state_new(grid, np.zeros((grid.n1, grid.n2)), np.cos(x1) * np.ones((1, grid.n2)))
+
+
+def initial_alarm_run(grid):
+    """A Toda A2 run whose monitor raises the log_int alarm on the initial
+    data: a bubble in the second component.  Returns (state, trajectory)."""
+    cfg = CouplingConfig("toda", (5 * np.pi, 5 * np.pi), matrix=cartan_matrix("A", 2))
+    u0 = np.stack([np.zeros((32, 32)), bubble_field(grid, (np.pi, np.pi), 16.0)])
+    st = wave_state_new(grid, u0, np.zeros_like(u0))
+    monitor = MonitorThresholds(grad_l2=1e9, log_int=8.0)
+    return st, evolve(st, 0.1, StepperConfig(h=1e-2), cfg, monitor=monitor)
+
+
+class TestStopPaths:
+    """The stop paths of `evolve`: each condition's value, time, status and
+    final state."""
+
+    def test_predictor_forcing_raises(self, grid32, monkeypatch):
+        # step 2's predictor forcing is the 4th rhs call: the run stops with a
+        # NaN at the slice before it, the last one it made
+        raise_at_forcing_call(monkeypatch, 4)
+        traj = evolve(eigenmode_state(grid32, 0.5), 1.0, StepperConfig(h=1e-2),
+                      CouplingConfig("sinh_gordon", (np.pi, np.pi)))
+        reason = traj.stop_reason
+        assert traj.status == STATUS_NONFINITE
+        assert reason.condition == "non_finite" and np.isnan(reason.value)
+        assert reason.t == traj.final_state.t == traj.times[-1] == pytest.approx(1e-2)
+        assert len(traj.reports) == 2
+        assert np.isfinite(traj.final_state.u).all() and np.isfinite(traj.final_state.v).all()
+
+    def test_max_grad_l2_without_monitor(self, grid32):
+        # the hard stop on the gradient norm needs no monitor: it is read at
+        # the first sample at or above it, and names that sample's value
+        st = velocity_driven_state(grid32)
+        limit = 0.5 * float(np.sqrt(2.0)) * np.pi  # half the norm of grad cos x1
+        traj = evolve(st, 1.0, StepperConfig(h=1e-2, max_grad_l2=limit),
+                      CouplingConfig("mean_field", (0.0,)))
+        reason = traj.stop_reason
+        assert traj.status == STATUS_BLOWUP and reason.condition == "max_grad_l2"
+        assert reason.value == traj.reports[-1].grad_l2 >= limit > traj.reports[-2].grad_l2
+        assert 0.0 < reason.t == traj.times[-1] == traj.final_state.t < 1.0
+        assert not traj.concentration
+
+    def test_alarm_at_the_initial_sample(self, grid32):
+        # an alarm on the data takes no step: one report, and a final state
+        # equal to the data that shares no memory with it
+        st, traj = initial_alarm_run(grid32)
+        assert traj.status == STATUS_BLOWUP
+        assert traj.stop_reason.condition == "log_int(e^{u_2})" and traj.stop_reason.t == 0.0
+        assert len(traj.reports) == 1 and traj.times == [0.0]
+        final = traj.final_state
+        assert final.t == st.t
+        assert np.array_equal(final.u, st.u) and np.array_equal(final.v, st.v)
+        assert not np.shares_memory(final.u, st.u) and not np.shares_memory(final.v, st.v)
+
+    @pytest.mark.parametrize("path, condition, status", [
+        ("completed", None, STATUS_COMPLETED),
+        ("initial_alarm", "log_int(e^{u_2})", STATUS_BLOWUP),
+        ("grad_l2_alarm", "grad_l2", STATUS_BLOWUP),
+        ("max_grad_l2", "max_grad_l2", STATUS_BLOWUP),
+        ("max_abs_u", "max_abs_u", STATUS_BLOWUP),
+        ("predictor_raises", "non_finite", STATUS_NONFINITE),
+        ("carried_forcing_raises", "non_finite", STATUS_NONFINITE),
+        ("velocity_not_finite", "non_finite", STATUS_NONFINITE),
+        ("max_steps", "max_steps", STATUS_MAXSTEPS),
+    ])
+    def test_status_follows_stop_reason(self, grid32, monkeypatch, path, condition, status):
+        linear = CouplingConfig("mean_field", (0.0,))
+        sinh = CouplingConfig("sinh_gordon", (np.pi, np.pi))
+        driven = velocity_driven_state(grid32)
+        if path == "completed":
+            traj = evolve(driven, 0.05, StepperConfig(h=1e-2), linear)
+        elif path == "initial_alarm":
+            traj = initial_alarm_run(grid32)[1]
+        elif path == "grad_l2_alarm":
+            traj = evolve(driven, 1.0, StepperConfig(h=1e-2), linear,
+                          monitor=MonitorThresholds(grad_l2=2.0))
+        elif path == "max_grad_l2":
+            traj = evolve(driven, 1.0, StepperConfig(h=1e-2, max_grad_l2=2.0), linear)
+        elif path == "max_abs_u":
+            traj = evolve(driven, 1.0, StepperConfig(h=1e-2, max_abs_u=0.3), linear)
+        elif path in ("predictor_raises", "carried_forcing_raises"):
+            raise_at_forcing_call(monkeypatch, 4 if path == "predictor_raises" else 3)
+            traj = evolve(eigenmode_state(grid32, 0.5), 1.0, StepperConfig(h=1e-2), sinh)
+        elif path == "velocity_not_finite":
+            real = prop.Stepper.step
+
+            def poisoned(self, uh, vh, fh):
+                uh, vh = real(self, uh, vh, fh)
+                vh[0, 2, 3] = np.nan
+                return uh, vh
+
+            monkeypatch.setattr(prop.Stepper, "step", poisoned)
+            traj = evolve(eigenmode_state(grid32, 0.5), 1.0, StepperConfig(h=1e-2), sinh)
+        else:
+            traj = evolve(driven, 1.0, StepperConfig(h=1e-2, max_steps=3), linear)
+        reason = traj.stop_reason
+        assert (None if reason is None else reason.condition) == condition
+        assert traj.status == status
+        assert traj.times == [r.t for r in traj.reports]
+        if reason is not None:
+            assert reason.t == traj.final_state.t
 
 
 def acceptance_like_state(grid, ncomp):
