@@ -1,13 +1,15 @@
 """Batch front end: flat-text configs, scenario orchestration, CSV time
 series, binary snapshots and checkpoint/resume.
 
-An evolve run (`run` or `resume`) writes its outputs as it goes: a flushed
-CSV row per sample (`TimeseriesWriter`) and each checkpoint when its step is
-reached, by atomic renames (`_write_checkpoint`), so a killed run leaves a
-prefix of its rows and complete, resumable checkpoints.  Timing goes to
-telemetry.jsonl only.
+Each scenario's runner (`_RUNNERS`) computes, and returns its text outputs
+as {file name: lines}, report.txt last; `run` writes them.  Only an evolve
+run (`run` or `resume`) writes as it goes: a flushed CSV row per sample
+(`TimeseriesWriter`) and each checkpoint when its step is reached, by atomic
+renames (`_write_checkpoint`), so a killed run leaves a prefix of its rows
+and complete, resumable checkpoints.  Timing goes to telemetry.jsonl only.
 
-Configs are "key = value" lines with '#' comments; unknown keys are errors.
+Configs are "key = value" lines with '#' comments; unknown keys are errors,
+as are keys the family does not take (`_FAMILY_KEYS` and the rho arity).
 A run is deterministic given (config, seed): identical inputs produce byte
 identical CSV and snapshot files on one platform.  Scenarios:
 
@@ -56,7 +58,10 @@ def _parse_bool(s):
 
 
 def _parse_float_list(s):
-    return tuple(float(x) for x in s.split(",") if x.strip())
+    values = tuple(float(x) for x in s.split(",") if x.strip())
+    if not values:
+        raise ValueError("expected at least one value")
+    return values
 
 
 def _positive(x):
@@ -156,11 +161,21 @@ SCHEMA = {
 
 _RHO_KEYS = tuple(f"rho{i}" for i in range(1, 9))
 
+# the keys only some families take; the rho keys go by `_rho_arity`
+_FAMILY_KEYS = {"a": ("asymmetric_sinh",), "matrix": ("toda",), "ncomp": ("toda",)}
+
 
 def _rho_arity(family, values):
     """How many rho keys the family takes: ncomp for toda, else the arity of
     `rhs`."""
     return values["ncomp"] if family == "toda" else rhs._RHO_ARITY[family]
+
+
+def _applicable(key, family, values):
+    """Whether `family` takes `key`."""
+    if key in _RHO_KEYS:
+        return int(key[3:]) <= _rho_arity(family, values)
+    return family in _FAMILY_KEYS.get(key, (family,))
 
 
 class RunConfig:
@@ -184,22 +199,12 @@ class RunConfig:
     def rho(self):
         return tuple(self.values[key] for key in _RHO_KEYS[:_rho_arity(self.family, self.values)])
 
-    def _applicable(self, key):
-        fam = self.family
-        if key in _RHO_KEYS:
-            return int(key[3:]) <= _rho_arity(fam, self.values)
-        if key == "a":
-            return fam == "asymmetric_sinh"
-        if key in ("matrix", "ncomp"):
-            return fam == "toda"
-        return True
-
     def text(self, overrides=None):
         """Canonical serialization: every key applicable to the family, with
         resolved values; parses back to an equivalent config."""
         lines = []
         for key in SCHEMA:
-            if not self._applicable(key):
+            if not _applicable(key, self.family, self.values):
                 continue
             val = self.values[key]
             if overrides and key in overrides:
@@ -233,7 +238,6 @@ def parse_config(text: str) -> RunConfig:
         raw[key] = value
 
     values = {}
-    explicit = set(raw)
     family = raw.get("family", SCHEMA["family"][1])
     if family not in rhs.FAMILIES:
         raise ValueError(f"family must be one of {', '.join(rhs.FAMILIES)}")
@@ -250,22 +254,22 @@ def parse_config(text: str) -> RunConfig:
             val = default
         values[key] = val
 
-    # family-conditional keys
-    arity = _rho_arity(family, values)
-    for i, key in enumerate(_RHO_KEYS, start=1):
-        if key in explicit and i > arity:
-            raise ValueError(f"unknown key {key!r} for family {family}")
-    if "a" in explicit and family != "asymmetric_sinh":
-        raise ValueError("key 'a' is only valid for family asymmetric_sinh")
-    for key in ("matrix", "ncomp"):
-        if key in explicit and family != "toda":
-            raise ValueError(f"key {key!r} is only valid for family toda")
+    for key in SCHEMA:
+        if key in raw and not _applicable(key, family, values):
+            if key in _RHO_KEYS:
+                raise ValueError(f"unknown key {key!r} for family {family}")
+            families = " or ".join(_FAMILY_KEYS[key])
+            raise ValueError(f"key {key!r} is only valid for family {families}")
     if family == "toda" and not 2 <= values["ncomp"] <= 8:
         raise ValueError("config key 'ncomp': toda takes 2 to 8 components")
     if family == "toda" and values["matrix"] == "G2" and values["ncomp"] != 2:
         raise ValueError("matrix G2 forces ncomp = 2")
-    if values["scenario"] == "picard-verify" and not values["T"] > 0:
-        raise ValueError("config key 'T' must be positive for picard-verify")
+    if values["scenario"] == "picard-verify":
+        steps = values["T"] / values["h"]
+        if not values["T"] > 0:
+            raise ValueError("config key 'T' must be positive for picard-verify")
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError("config key 'T' must be a whole number of steps h for picard-verify")
     # the detector's balls (evolve's alarms, bubble-probe) must fit the torus
     if values["scenario"] in ("evolve", "bubble-probe") and not (
             values["conc.r"] < min(values["grid.L1"], values["grid.L2"]) / 2):
@@ -445,7 +449,7 @@ def write_timeseries(path, traj, e0):
         writer.close(traj.status, traj.concentration)
 
 
-def _write_report(path, lines):
+def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -539,8 +543,7 @@ def _stop_text(traj):
     return "none" if traj.stop_reason is None else str(traj.stop_reason)
 
 
-def _run_evolve(rc, out_dir, seed):
-    grid = build_grid(rc)
+def _run_evolve(rc, grid, out_dir, seed):
     state = build_initial_state(rc, grid, seed)
     traj, e0 = _evolve_streaming("run", rc, state, out_dir, seed, state.t)
     if rc["snapshot_final"] and traj.final_state is not None:
@@ -555,13 +558,12 @@ def _run_evolve(rc, out_dir, seed):
         f"max_energy_drift: {_fmt(max(abs(r.E - e0) / (1.0 + abs(e0)) for r in traj.reports))}",
     ]
     for rep in traj.concentration:
+        points = ", ".join(f"({_fmt(round(x, 6))}, {_fmt(round(y, 6))})" for x, y in rep.points)
         lines.append(
             f"concentration sign={rep.sign:+d} component={rep.component} "
-            f"points={[(round(p[0], 6), round(p[1], 6)) for p in rep.points]} "
-            f"covered={rep.covered_fraction:.6f} alarmed={rep.alarmed}"
+            f"points=[{points}] covered={rep.covered_fraction:.6f} alarmed={rep.alarmed}"
         )
-    _write_report(os.path.join(out_dir, "report.txt"), lines)
-    return 0
+    return {"report.txt": lines}
 
 
 def _run_resume(checkpoint, out_dir):
@@ -597,7 +599,7 @@ def _run_resume(checkpoint, out_dir):
         "resume", rc, state, out_dir, meta["seed"], meta["t0"], float(meta["E0"]),
         first_step_index=int(meta["step"]),
     )
-    _write_report(os.path.join(out_dir, "report.txt"), [
+    _write_lines(os.path.join(out_dir, "report.txt"), [
         "scenario: resume",
         f"resumed_from: {checkpoint}",
         f"status: {traj.status}",
@@ -607,22 +609,16 @@ def _run_resume(checkpoint, out_dir):
     return 0
 
 
-def _run_picard_verify(rc, out_dir, seed):
-    grid = build_grid(rc)
-    cfg = build_coupling(rc)
+def _run_picard_verify(rc, grid, out_dir, seed):
     state = build_initial_state(rc, grid, seed)
-    T, h = rc["T"], rc["h"]
     states, rep = picard.picard_solve(
-        state, cfg, T, h, tol=rc["picard.tol"], max_iter=rc["picard.max_iter"],
-        dealias=rc["dealias"],
+        state, build_coupling(rc), rc["T"], rc["h"], tol=rc["picard.tol"],
+        max_iter=rc["picard.max_iter"], dealias=rc["dealias"],
     )
-    sup = picard.sup_h1_distance(rep.path, state)
     # both first ratios are read off the solve, on its grid of m steps of h;
     # the half horizon is round(m/2) steps, one when m = 1
     m = len(states) - 1
-    ratio_full = rep.first_ratio()
-    ratio_half = rep.first_ratio(max(1, round(m / 2)))
-    lines = [
+    return {"report.txt": [
         "scenario: picard-verify",
         f"R: {rep.R!r}",
         f"T: {rep.T!r}",
@@ -630,12 +626,10 @@ def _run_picard_verify(rc, out_dir, seed):
         f"converged: {rep.converged}",
         f"final_distance: {rep.final_distance!r}",
         f"ratios: {[round(r, 6) for r in rep.contraction_ratios]}",
-        f"sup_h1_vs_stepper: {sup!r}",
-        f"first_ratio_T: {ratio_full!r}",
-        f"first_ratio_T_half: {ratio_half!r}",
-    ]
-    _write_report(os.path.join(out_dir, "report.txt"), lines)
-    return 0
+        f"sup_h1_vs_stepper: {picard.sup_h1_distance(rep.path, state)!r}",
+        f"first_ratio_T: {rep.first_ratio()!r}",
+        f"first_ratio_T_half: {rep.first_ratio(max(1, round(m / 2)))!r}",
+    ]}
 
 
 def _in_first_component(cfg, u):
@@ -646,8 +640,7 @@ def _in_first_component(cfg, u):
     return out
 
 
-def _run_functional_scan(rc, out_dir, seed):
-    grid = build_grid(rc)
+def _run_functional_scan(rc, grid, out_dir, seed):
     cfg = build_coupling(rc)
     x1, _ = grid.mesh()
     base = np.cos(TWO_PI * x1 / grid.L1) * np.ones((1, grid.n2))
@@ -662,35 +655,34 @@ def _run_functional_scan(rc, out_dir, seed):
             _fmt(functionals.mt_residual(grid, u, "standard")),
             _fmt(functionals.mt_residual(grid, u, "sinh")),
         ]))
-    with open(os.path.join(out_dir, "scan.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-    _write_report(os.path.join(out_dir, "report.txt"), [
+    return {"scan.csv": rows, "report.txt": [
         "scenario: functional-scan",
         f"J_values: {[round(j, 6) for j in jvals]}",
-    ])
-    return 0
+    ]}
 
 
-def _run_bubble_probe(rc, out_dir, seed):
-    grid = build_grid(rc)
+def _run_bubble_probe(rc, grid, out_dir, seed):
     cfg = build_coupling(rc)
     center = (rc["bubble.x1"], rc["bubble.x2"])
+    # the bubble sits at the centre modulo the periods, as does its distance
+    c1, c2 = center[0] % grid.L1, center[1] % grid.L2
     rows = ["lam,J,covered_fraction,point_x1,point_x2,dist_to_center"]
     jvals = []
     report_lines = ["scenario: bubble-probe"]
     first = rhs.equation_measures(cfg)[0]
-    m = max(1, blowup.concentration_window(first.rho, first.window))
+    query = blowup.ConcentrationQuery(
+        m=max(1, blowup.concentration_window(first.rho, first.window)),
+        r=rc["conc.r"], eps=rc["conc.eps"], delta=rc["conc.delta"],
+    )
     for lam in rc["probe.lams"]:
         u = blowup.bubble_field(grid, center, lam, rc["bubble.clamp"])
         jv = functionals.functional_J(grid, _in_first_component(cfg, u), cfg)
         jvals.append(jv)
-        dens = blowup.density(grid, u, +1.0)
-        query = blowup.ConcentrationQuery(m=m, r=rc["conc.r"], eps=rc["conc.eps"], delta=rc["conc.delta"])
-        det = blowup.detect_concentration(grid, dens, query)
+        det = blowup.detect_concentration(grid, blowup.density(grid, u, +1.0), query)
         p = det.points[0]
         dist = float(np.hypot(
-            min(abs(p[0] - center[0]), grid.L1 - abs(p[0] - center[0])),
-            min(abs(p[1] - center[1]), grid.L2 - abs(p[1] - center[1])),
+            min(abs(p[0] - c1), grid.L1 - abs(p[0] - c1)),
+            min(abs(p[1] - c2), grid.L2 - abs(p[1] - c2)),
         ))
         rows.append(",".join([
             _fmt(lam), _fmt(jv), _fmt(det.covered_fraction), _fmt(p[0]), _fmt(p[1]), _fmt(dist),
@@ -701,30 +693,33 @@ def _run_bubble_probe(rc, out_dir, seed):
         )
     decreasing = all(b < a for a, b in zip(jvals, jvals[1:]))
     report_lines.append(f"J_strictly_decreasing: {decreasing}")
-    with open(os.path.join(out_dir, "bubble.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-    _write_report(os.path.join(out_dir, "report.txt"), report_lines)
-    return 0
+    return {"bubble.csv": rows, "report.txt": report_lines}
+
+
+# scenario -> runner(rc, grid, out_dir, seed), which returns {file name: lines}
+_RUNNERS = {
+    "evolve": _run_evolve,
+    "picard-verify": _run_picard_verify,
+    "functional-scan": _run_functional_scan,
+    "bubble-probe": _run_bubble_probe,
+}
 
 
 def run(rc: RunConfig, out_dir: str, seed=None) -> int:
-    """Execute the configured scenario, writing into out_dir.  Numeric stop
-    conditions are recorded statuses; the exit code is nonzero only for
-    config/IO/internal failures."""
+    """Execute the configured scenario, writing into out_dir: config.used
+    first, then what the scenario streams as it runs (evolve: telemetry.jsonl,
+    the CSV rows and the checkpoints, then final.lwav), then the text files
+    its runner returns, report.txt last.  Returns 0: numeric stop conditions
+    are recorded statuses, and config and I/O failures raise, which `main`
+    turns into exit code 1."""
     os.makedirs(out_dir, exist_ok=True)
-    effective_seed = rc["seed"] if seed is None else int(seed)
-    with open(os.path.join(out_dir, "config.used"), "w", encoding="utf-8") as fh:
-        fh.write(rc.text(overrides={"seed": effective_seed}))
-    scenario = rc["scenario"]
-    if scenario == "evolve":
-        return _run_evolve(rc, out_dir, effective_seed)
-    if scenario == "picard-verify":
-        return _run_picard_verify(rc, out_dir, effective_seed)
-    if scenario == "functional-scan":
-        return _run_functional_scan(rc, out_dir, effective_seed)
-    if scenario == "bubble-probe":
-        return _run_bubble_probe(rc, out_dir, effective_seed)
-    raise ValueError(f"unknown scenario {scenario!r}")
+    seed = rc["seed"] if seed is None else int(seed)
+    config_text = rc.text(overrides={"seed": seed})
+    _write_lines(os.path.join(out_dir, "config.used"), config_text.splitlines())
+    outputs = _RUNNERS[rc["scenario"]](rc, build_grid(rc), out_dir, seed)
+    for name, lines in outputs.items():
+        _write_lines(os.path.join(out_dir, name), lines)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -743,19 +738,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            rc = load_config(args.config)
-            return run(rc, args.out, args.seed)
-        if args.command == "resume":
-            out = args.out
-            if out is None:
-                meta = os.path.splitext(os.path.basename(args.checkpoint))[0]
-                out = os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)),
-                                   f"resumed_{meta}")
-            return _run_resume(args.checkpoint, out)
+            return run(load_config(args.config), args.out, args.seed)
+        out = args.out
+        if out is None:
+            meta = os.path.splitext(os.path.basename(args.checkpoint))[0]
+            out = os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)),
+                               f"resumed_{meta}")
+        return _run_resume(args.checkpoint, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

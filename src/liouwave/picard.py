@@ -29,13 +29,13 @@ of the report's `path`), and picard-verify compares the stepper's orbit
 with the replayed half spectra by the same per-node distance
 (`sup_h1_distance`), transforming no node back.
 
-The first contraction ratio has one definition, `_first_ratio`: the sup over
-the nodes of d(F^2 u, F u) over that of d(F u, u), from the free path u.
-`picard_solve` keeps the per-node distances of its own first two
-corrections in its report, so by causality the ratio on [0, k h] for any
-k <= m is read off the solve: nodes 0..k of the iterates are those of the
-solve on k steps.  `first_contraction_ratio` computes the same quantity on
-a grid of its own.
+The first contraction ratio has one definition, `PicardReport.first_ratio`:
+the sup over the nodes of d(F^2 u, F u) over that of d(F u, u), from the
+free path u.  `picard_solve` keeps the per-node distances of its own first
+two corrections in its report, so by causality the ratio on [0, k h] for
+any k <= m is read off the solve: nodes 0..k of the iterates are those of
+the solve on k steps.  `first_contraction_ratio` is the ratio of a
+one-iteration solve on a grid of its own.
 """
 
 from __future__ import annotations
@@ -77,8 +77,13 @@ class PicardReport:
 
     def first_ratio(self, nodes=None) -> float:
         """The first contraction ratio on nodes 0..nodes, i.e. on the horizon
-        nodes*h (all nodes when None)."""
-        return _first_ratio(self.first_distances, nodes)
+        nodes*h (all nodes when None): d(F^2 u, F u) / d(F u, u) as sups
+        over those nodes; 0 when the first correction vanishes there."""
+        stop = None if nodes is None else nodes + 1
+        lead = float(self.first_distances[0][:stop].max())
+        if lead <= _VANISHING:
+            return 0.0
+        return float(self.first_distances[1][:stop].max()) / lead
 
 
 def picard_radius(state: WaveState) -> float:
@@ -253,16 +258,6 @@ def _first_distances(first, path: _Path) -> tuple:
     return tuple(first)
 
 
-def _first_ratio(first_distances, nodes=None) -> float:
-    """d(F^2 u, F u) / d(F u, u) as sups over nodes 0..nodes (all when
-    None); 0 when the first correction vanishes there."""
-    stop = None if nodes is None else nodes + 1
-    lead = float(first_distances[0][:stop].max())
-    if lead <= _VANISHING:
-        return 0.0
-    return float(first_distances[1][:stop].max()) / lead
-
-
 def picard_solve(
     state: WaveState,
     cfg: CouplingConfig,
@@ -326,9 +321,9 @@ def picard_solve(
 
 def first_contraction_ratio(state, cfg, T, steps=32, dealias=True) -> float:
     """d(F^2 u, F u) / d(F u, u) starting from the free path on `steps` steps
-    of T/steps; 0 for data whose first correction already vanishes."""
-    path = _Path(state, cfg, T / steps, steps, dealias)
-    return _first_ratio(_first_distances([_correction(path)], path))
+    of T/steps; 0 for data whose first correction already vanishes.  The
+    ratio of a one-iteration solve on that grid."""
+    return picard_solve(state, cfg, T, T / steps, max_iter=1, dealias=dealias)[1].first_ratio()
 
 
 def picard_time(

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -102,6 +103,42 @@ class TestParseConfig:
             cli.parse_config("scenario = bubble-probe\nprobe.lams = 2.0, 0.5\n")
         assert cli.parse_config("probe.lams = 1.0, 3.0\n")["probe.lams"] == (1.0, 3.0)
 
+    def test_empty_value_lists_rejected(self):
+        # an empty list ran to exit 0 with no rows: no J values, or a probe
+        # reporting J_strictly_decreasing: True over nothing
+        for key, scenario in (("probe.lams", "bubble-probe"), ("scan.values", "functional-scan")):
+            for value in ("", " , "):
+                with pytest.raises(ValueError, match=f"'{key}'.*at least one"):
+                    cli.parse_config(f"scenario = {scenario}\n{key} = {value}\n")
+
+    def test_picard_verify_horizon_whole_steps(self):
+        # the solve runs round(T/h) steps; a T between steps was solved on
+        # another horizon (T = 0.0004, h = 0.001 reported T: 0.001)
+        for T, h in ((0.0004, 0.001), (0.0105, 0.001), (0.25, 0.1)):
+            with pytest.raises(ValueError, match="'T'.*whole number"):
+                cli.parse_config(f"scenario = picard-verify\nT = {T!r}\nh = {h!r}\n")
+        for T, h in ((0.05, 0.001), (0.1, 0.01), (0.3, 0.1), (0.001, 0.001)):
+            cli.parse_config(f"scenario = picard-verify\nT = {T!r}\nh = {h!r}\n")
+        # evolve takes any T (its last step is documented)
+        cli.parse_config("T = 0.0004\nh = 0.001\n")
+
+    def test_family_keys_in_config_used(self):
+        # the keys config.used writes are those parse_config takes
+        texts = {
+            "mean_field": "family = mean_field\n",
+            "sinh_gordon": "family = sinh_gordon\n",
+            "asymmetric_sinh": "family = asymmetric_sinh\na = 2.0\n",
+            "toda": "family = toda\nncomp = 3\nmatrix = B\n",
+        }
+        for family, text in texts.items():
+            used = cli.parse_config(text).text()
+            keys = [line.split(" = ")[0] for line in used.splitlines()]
+            assert ("a" in keys) == (family == "asymmetric_sinh")
+            assert ("matrix" in keys) == ("ncomp" in keys) == (family == "toda")
+            arity = {"mean_field": 1, "toda": 3}.get(family, 2)
+            assert [k for k in keys if k.startswith("rho")] == [f"rho{i}" for i in range(1, arity + 1)]
+            assert cli.parse_config(used).values == cli.parse_config(text).values
+
     def test_toda_rhos(self):
         rc = cli.parse_config("family = toda\nncomp = 3\nrho1 = 1\nrho2 = 2\nrho3 = 3\n")
         assert rc.rho() == (1.0, 2.0, 3.0)
@@ -189,17 +226,57 @@ class TestRunScenarios:
         assert len(energies) == 1
         assert rows[-1].split(",")[status_col] == "completed"
 
-    def test_determinism_byte_identical(self, tmp_path):
-        rc = cli.parse_config(BASE_CFG)
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_determinism_byte_identical(self, tmp_path, scenario):
+        # every output but the timings of telemetry.jsonl repeats byte for byte
+        rc = cli.parse_config(BASE_CFG.replace("scenario = evolve", f"scenario = {scenario}"))
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        cli.run(rc, str(out1))
-        cli.run(rc, str(out2))
-        assert (out1 / "timeseries.csv").read_bytes() == (out2 / "timeseries.csv").read_bytes()
-        assert (out1 / "final.lwav").read_bytes() == (out2 / "final.lwav").read_bytes()
-        rows = (out1 / "timeseries.csv").read_text().splitlines()
-        assert rows[0] == ",".join(cli.CSV_COLUMNS)
-        times = [float(r.split(",")[0]) for r in rows[1:]]
-        assert times == sorted(times) and len(set(times)) == len(times)
+        assert cli.run(rc, str(out1)) == cli.run(rc, str(out2)) == 0
+        names = sorted(p.name for p in out1.iterdir() if p.name != "telemetry.jsonl")
+        assert names == sorted(p.name for p in out2.iterdir() if p.name != "telemetry.jsonl")
+        assert {"config.used", "report.txt"} <= set(names)
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        if scenario == "evolve":
+            assert "final.lwav" in names
+            rows = (out1 / "timeseries.csv").read_text().splitlines()
+            assert rows[0] == ",".join(cli.CSV_COLUMNS)
+            times = [float(r.split(",")[0]) for r in rows[1:]]
+            assert times == sorted(times) and len(set(times)) == len(times)
+
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_runner_returns_its_text_outputs(self, tmp_path, scenario):
+        # a runner writes only what it streams (evolve's CSV, checkpoints,
+        # telemetry and final snapshot); its text files come back to `run`
+        assert tuple(cli._RUNNERS) == cli.SCENARIOS
+        rc = cli.parse_config(BASE_CFG.replace("scenario = evolve", f"scenario = {scenario}"))
+        out = tmp_path / "out"
+        out.mkdir()
+        outputs = cli._RUNNERS[scenario](rc, cli.build_grid(rc), str(out), rc["seed"])
+        assert list(outputs)[-1] == "report.txt"
+        assert all(isinstance(line, str) for lines in outputs.values() for line in lines)
+        written = {p.name for p in out.iterdir()}
+        assert not written & set(outputs)
+        if scenario != "evolve":
+            assert written == set()
+
+    def test_concentration_points_are_floats(self, tmp_path):
+        # an alarm at t = 0 runs the detector; its points print as plain
+        # floats (numpy 2 printed np.float64(...) for each coordinate)
+        cfg_text = (
+            "family = mean_field\nrho1 = 125.66370614359172\ngrid.n1 = 32\ngrid.n2 = 32\n"
+            "T = 0.1\nh = 0.001\ninit.kind = bubble\nbubble.lam = 1.5\nalarm.grad = 1.0\n"
+        )
+        out = tmp_path / "alarm"
+        assert cli.run(cli.parse_config(cfg_text), str(out)) == 0
+        lines = [line for line in (out / "report.txt").read_text().splitlines()
+                 if line.startswith("concentration ")]
+        assert lines
+        for line in lines:
+            text = line.split("points=", 1)[1].split(" covered=", 1)[0]
+            points = ast.literal_eval(text)
+            assert points and all(type(x) is float for p in points for x in p)
+            assert text == "[" + ", ".join(f"({x!r}, {y!r})" for x, y in points) + "]"
 
     def test_subcritical_run_drift_column(self, tmp_path):
         cfg_text = (
@@ -414,6 +491,22 @@ class TestRunScenarios:
         report = (out / "report.txt").read_text()
         assert "J_strictly_decreasing: True" in report
         assert (out / "bubble.csv").exists()
+
+    def test_bubble_probe_distance_wraps_the_centre(self, tmp_path):
+        # the bubble is built at the centre modulo the period, and so is its
+        # distance taken: x1 = 15 and 15 - 4 pi name one point
+        csvs = []
+        for x1 in (15.0, 15.0 - 4 * np.pi):
+            text = ("scenario = bubble-probe\nfamily = mean_field\nrho1 = 53.4\n"
+                    f"grid.n1 = 32\ngrid.n2 = 32\nprobe.lams = 8, 16\nbubble.x1 = {x1!r}\n")
+            out = tmp_path / f"bp{len(csvs)}"
+            assert cli.run(cli.parse_config(text), str(out)) == 0
+            csvs.append((out / "bubble.csv").read_text())
+        assert csvs[0] == csvs[1]
+        rows = csvs[0].splitlines()
+        col = rows[0].split(",").index("dist_to_center")
+        cell = 2 * np.pi / 32
+        assert all(float(r.split(",")[col]) <= cell for r in rows[1:])
 
     def test_functional_scan_outputs(self, tmp_path):
         cfg_text = (
