@@ -7,7 +7,6 @@ from .blowup import (
     ConcentrationQuery,
     ConcentrationReport,
     MonitorThresholds,
-    alarm_condition,
     ball_mass_map,
     blowup_monitor,
     bubble_field,

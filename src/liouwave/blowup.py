@@ -10,10 +10,12 @@ that evolve() consults, including the coupling-window arithmetic (each
 measure's rho and window width from the table) that fixes how many
 concentration points to look for.
 
-The monitor makes no transform and no log-sum-exp of its own on a quiet
-sample: it thresholds the gradient norm and the measures' log-integrals of
-the sample's `FunctionalReport`, which `evolve` builds from the half spectra
-it carries.  Only an alarm builds densities and runs the detector.
+The monitor decides a sample's alarm, once: it returns the stop reason
+that `evolve` records, or None.  On a quiet sample it makes no transform
+and no log-sum-exp of its own: it thresholds the gradient norm and the
+measures' log-integrals of the sample's `FunctionalReport`, which `evolve`
+builds from the half spectra it carries.  Only an alarm builds densities
+and runs the detector.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import StopReason
 from .functionals import evaluate_report
 from .rhs import CouplingConfig, equation_measures
 from .surface import SpectralGrid
@@ -84,9 +87,15 @@ def density(grid: SpectralGrid, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
     return dens
 
 
+def ball_fits(r: float, L1: float, L2: float) -> bool:
+    """Whether metric balls of radius r fit the L1 x L2 torus: r is below
+    half the shortest period, so a ball does not wrap onto itself."""
+    return r < min(L1, L2) / 2
+
+
 def _ball_kernel_half(grid: SpectralGrid, r: float) -> np.ndarray:
     """Half spectrum of the discretized indicator of the ball B(0, r)."""
-    if not r < min(grid.L1, grid.L2) / 2:
+    if not ball_fits(r, grid.L1, grid.L2):
         raise ValueError("ball radius must be below half the shortest period")
     return grid.to_spectral_half_stack((grid.torus_distance((0.0, 0.0)) <= r).astype(float))
 
@@ -155,41 +164,23 @@ def concentration_window(rho: float, step: float) -> int:
     return int(math.floor(rho / step))
 
 
-def _watched(cfg: CouplingConfig, report) -> list:
-    """(measure, centred log-integral) of each measure with nonzero rho."""
-    return [(m, lg) for m, lg in zip(equation_measures(cfg), report.log_integrals)
-            if m.rho != 0.0]
-
-
-def alarm_condition(report, cfg: CouplingConfig, thresholds: MonitorThresholds):
-    """The alarm condition `report` trips, as (condition, value), or None on
-    a quiet slice: "grad_l2" when the gradient norm reaches its threshold,
-    else "log_int(<measure name>)" for the watched measure with the largest
-    log-integral at or above its threshold."""
-    if not report.grad_l2 < thresholds.grad_l2:
-        return "grad_l2", report.grad_l2
-    tripped = [(lg, m.name) for m, lg in _watched(cfg, report) if not lg < thresholds.log_int]
-    if not tripped:
-        return None
-    lg, name = max(tripped, key=lambda x: x[0])
-    return f"log_int({name})", lg
-
-
 def blowup_monitor(state, cfg: CouplingConfig, thresholds: MonitorThresholds, report=None):
     """Check the blow-up signatures and, when tripped, locate concentration.
 
-    Triggers when the report's gradient norm (the largest over components)
-    or the centred log integral log int w e^{sign*a*(u - ubar)} of any of the
-    equation's measures with nonzero rho (`rhs.equation_measures`;
-    weights and the asymmetry exponent included) reaches its threshold
-    (`alarm_condition` names the one that did);
-    constant states, which are stationary, stay quiet.  Both are read from
-    `report`, the slice's `FunctionalReport`, which is built here only when
-    none is passed.  The number of points per measure comes from the
-    coupling windows: floor(rho_i / 8 pi) for the scalar families,
-    floor(rho_i / 4 pi) per component for coupled systems (critical
-    endpoints land in the higher window).  Returns (status, reports) with
-    status "quiet" or "alarm".
+    Returns (reason, reports): reason is None on a quiet slice, else the
+    `fields.StopReason` it trips at `report.t`, "grad_l2" when the report's
+    gradient norm (the largest over components) reaches its threshold, else
+    "log_int(<measure name>)" for the measure with the largest centred log
+    integral log int w e^{sign*a*(u - ubar)} at or above its threshold among
+    the equation's measures with nonzero rho (`rhs.equation_measures`;
+    weights and the asymmetry exponent included); reports are the
+    detector's, empty on a quiet slice.  Constant states, which are
+    stationary, stay quiet.  Both signals are read from `report`, the
+    slice's `FunctionalReport`, which is built here only when none is
+    passed.  The number of points per measure comes from the coupling
+    windows: floor(rho_i / 8 pi) for the scalar families, floor(rho_i / 4 pi)
+    per component for coupled systems (critical endpoints land in the
+    higher window).
 
     The underlying dichotomy concerns a sequence of times approaching the
     singularity; sampled snapshots cannot distinguish subsequential from
@@ -198,12 +189,20 @@ def blowup_monitor(state, cfg: CouplingConfig, thresholds: MonitorThresholds, re
     """
     if report is None:
         report = evaluate_report(state, cfg)
-    if alarm_condition(report, cfg, thresholds) is None:
-        return "quiet", []
+    watched = [(m, lg) for m, lg in zip(equation_measures(cfg), report.log_integrals)
+               if m.rho != 0.0]
+    if not report.grad_l2 < thresholds.grad_l2:
+        reason = StopReason("grad_l2", report.grad_l2, report.t)
+    else:
+        tripped = [(m, lg) for m, lg in watched if not lg < thresholds.log_int]
+        if not tripped:
+            return None, []
+        m, lg = max(tripped, key=lambda x: x[1])
+        reason = StopReason(f"log_int({m.name})", lg, report.t)
 
     g = state.grid
     reports = []
-    for m, _ in _watched(cfg, report):
+    for m, _ in watched:
         window = concentration_window(m.rho, m.window)
         if window < 1:
             continue
@@ -212,7 +211,7 @@ def blowup_monitor(state, cfg: CouplingConfig, thresholds: MonitorThresholds, re
         query = ConcentrationQuery(m=window, r=thresholds.r, eps=thresholds.eps,
                                    delta=thresholds.delta)
         reports.append(detect_concentration(g, dens, query, sign=m.sign, component=m.component))
-    return "alarm", reports
+    return reason, reports
 
 
 def bubble_field(grid: SpectralGrid, center, lam: float, clamp: float = 30.0) -> np.ndarray:

@@ -271,8 +271,8 @@ def parse_config(text: str) -> RunConfig:
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("config key 'T' must be a whole number of steps h for picard-verify")
     # the detector's balls (evolve's alarms, bubble-probe) must fit the torus
-    if values["scenario"] in ("evolve", "bubble-probe") and not (
-            values["conc.r"] < min(values["grid.L1"], values["grid.L2"]) / 2):
+    if values["scenario"] in ("evolve", "bubble-probe") and not blowup.ball_fits(
+            values["conc.r"], values["grid.L1"], values["grid.L2"]):
         raise ValueError("config key 'conc.r' must be below half the shortest period")
     return RunConfig(values)
 

@@ -36,14 +36,13 @@ class WaveState:
     t: float
     u: np.ndarray
     v: np.ndarray
-    v_mean_shift: tuple = ()
 
     @property
     def ncomp(self) -> int:
         return self.u.shape[0]
 
     def clone(self) -> "WaveState":
-        return WaveState(self.grid, self.t, self.u.copy(), self.v.copy(), self.v_mean_shift)
+        return WaveState(self.grid, self.t, self.u.copy(), self.v.copy())
 
 
 @dataclass
@@ -84,14 +83,15 @@ class Trajectory:
 
 
 def _stack_components(grid, arrs, what):
-    a = np.asarray(arrs, dtype=np.float64)
+    # a copy: the state owns its arrays, and the velocity's repair is in place
+    a = np.array(arrs, dtype=np.float64, order="C")
     if a.ndim == 2:
         a = a[None, :, :]
     if a.ndim != 3 or a.shape[1:] != (grid.n1, grid.n2):
         raise ValueError(f"{what} shape {a.shape} does not match grid {grid.n1}x{grid.n2}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite values")
-    return np.ascontiguousarray(a)
+    return a
 
 
 def wave_state_new(grid: SpectralGrid, u0, u1, t0: float = 0.0) -> WaveState:
@@ -99,13 +99,12 @@ def wave_state_new(grid: SpectralGrid, u0, u1, t0: float = 0.0) -> WaveState:
 
     The velocity components must have (numerically) zero mean: if
     |mean(u1_i)| exceeds 1e-8 * ||u1_i||_L2 + 1e-12 the data is rejected,
-    otherwise the mean is subtracted and the shift recorded on the state.
+    otherwise the mean is subtracted.
     """
     u = _stack_components(grid, u0, "u0")
     v = _stack_components(grid, u1, "u1")
     if u.shape != v.shape:
         raise ValueError("u0 and u1 must have the same number of components")
-    shifts = []
     for i in range(v.shape[0]):
         m = grid.mean(v[i])
         tol = 1e-8 * grid.norm_l2(v[i]) + 1e-12
@@ -116,8 +115,7 @@ def wave_state_new(grid: SpectralGrid, u0, u1, t0: float = 0.0) -> WaveState:
             )
         if m != 0.0:
             v[i] -= m
-        shifts.append(m)
-    return WaveState(grid, float(t0), u, v, tuple(shifts))
+    return WaveState(grid, float(t0), u, v)
 
 
 def random_smooth_field(

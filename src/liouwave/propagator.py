@@ -69,7 +69,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .blowup import MonitorThresholds, alarm_condition, blowup_monitor
+from .blowup import MonitorThresholds, ball_fits, blowup_monitor
 from .fields import StopReason, Trajectory, WaveState
 from .functionals import evaluate_report
 from .rhs import CouplingConfig, DynamicRangeError, rhs_fields
@@ -93,10 +93,21 @@ class StepperConfig:
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError("step size must be positive")
-        if not (self.max_abs_u > 0 and self.max_grad_l2 > 0 and self.max_steps > 0):
+        if not (self.max_abs_u > 0 and self.max_grad_l2 > 0):
             raise ValueError("stop thresholds must be positive")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+        self.max_steps = _count("max_steps", self.max_steps)
+        self.sample_every = _count("sample_every", self.sample_every)
+
+
+def _count(name: str, n) -> int:
+    """n as an int, if it is a whole number >= 1."""
+    try:
+        whole = int(n)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+        whole = 0
+    if not (whole >= 1 and whole == n):
+        raise ValueError(f"{name} must be a whole number >= 1")
+    return whole
 
 
 def _mode_factors(grid: SpectralGrid, t: float):
@@ -238,7 +249,7 @@ def evolve(
 
     condition           value                           time            status
     ------------------  ------------------------------  --------------  -------------
-    grad_l2, log_int()  the monitor's alarm signal      the sample      blow-up-alarm
+    grad_l2, log_int()  the monitor's reason, as given  the sample      blow-up-alarm
     max_grad_l2         the sample's gradient norm      the sample      blow-up-alarm
     non_finite          NaN: the predictor's forcing    previous slice  non-finite
     non_finite          max|u|: u, vh or forcing at u   new slice       non-finite
@@ -251,11 +262,14 @@ def evolve(
     step (global step index a multiple of `snapshot_every`, 0 for none)
     `on_checkpoint(step_index, state)` gets the live state, to be cloned by
     a caller that keeps it.  An exception raised by a callback ends the run
-    and propagates.
+    and propagates.  A monitor whose balls do not fit the torus
+    (`blowup.ball_fits`) is refused before the first sample.
     """
     g = state.grid
     if T < state.t:
         raise ValueError("target time precedes the state's time")
+    if monitor is not None and not ball_fits(monitor.r, g.L1, g.L2):
+        raise ValueError("monitor ball radius r must be below half the shortest period")
     step = Stepper(g, stepper.h, cfg, stepper.scheme, stepper.dealias)
     t0 = state.t if t_origin is None else float(t_origin)
     n_steps = int(round((T - state.t) / stepper.h))
@@ -289,10 +303,10 @@ def evolve(
         if on_sample is not None:
             on_sample(t, report)
         if monitor is not None:
-            status, reports = blowup_monitor(state_t, cfg, monitor, report=report)
-            if status == "alarm":
+            reason, reports = blowup_monitor(state_t, cfg, monitor, report=report)
+            if reason is not None:
                 traj.concentration = reports
-                return StopReason(*alarm_condition(report, cfg, monitor), t)
+                return reason
         if report.grad_l2 >= stepper.max_grad_l2:
             return StopReason("max_grad_l2", report.grad_l2, t)
         return None

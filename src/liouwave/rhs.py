@@ -159,11 +159,11 @@ class CouplingConfig:
     """Equation family plus its parameters.
 
     rho has length 1 (mean_field), 2 (sinh_gordon, asymmetric_sinh) or n
-    (toda, with `matrix` of rank n).  `a` is the asymmetry exponent of the
-    e^{-a u} measure and must be 1 except for asymmetric_sinh.  Weights, when
-    given, are strictly positive fields, one per measure; their logs are
-    taken once, here, and every log-sum-exp of a weighted measure adds them
-    (`log_weight`).
+    (toda, with `matrix` of rank n; no other family takes one).  `a` is the
+    asymmetry exponent of the e^{-a u} measure and must be 1 except for
+    asymmetric_sinh.  Weights, when given, are strictly positive fields, one
+    per measure; their logs are taken once, here, and every log-sum-exp of a
+    weighted measure adds them (`log_weight`).
     """
 
     family: str
@@ -187,6 +187,8 @@ class CouplingConfig:
                     f"toda with rank {self.matrix.n} needs {self.matrix.n} rho values"
                 )
         else:
+            if self.matrix is not None:
+                raise ValueError("a coupling matrix is only valid for toda")
             if len(self.rho) != _RHO_ARITY[self.family]:
                 raise ValueError(
                     f"family {self.family} takes {_RHO_ARITY[self.family]} rho value(s)"

@@ -12,6 +12,7 @@ from liouwave import (
     concentration_window,
     density,
     detect_concentration,
+    evaluate_report,
     functional_J,
     random_smooth_field,
     wave_state_new,
@@ -148,40 +149,47 @@ class TestWindows:
         assert concentration_window(9 * np.pi, 4 * np.pi) == 2
 
 
+def _reason(reason):
+    return reason.condition, reason.value, reason.t
+
+
 class TestBlowupMonitor:
     def test_quiet_on_calm_state(self, grid32, rng):
         cfg = CouplingConfig("sinh_gordon", (10 * np.pi, 0.0))
         u0 = random_smooth_field(grid32, rng, 3, 1.0)
         st = wave_state_new(grid32, u0, np.zeros((32, 32)))
-        status, reports = blowup_monitor(st, cfg, MonitorThresholds())
-        assert status == "quiet" and reports == []
+        reason, reports = blowup_monitor(st, cfg, MonitorThresholds())
+        assert reason is None and reports == []
 
     def test_alarm_on_bubble(self, grid64):
         cfg = CouplingConfig("sinh_gordon", (10 * np.pi, 17 * np.pi))
         u0 = bubble_field(grid64, (np.pi, np.pi), 32.0)
-        st = wave_state_new(grid64, u0, np.zeros((64, 64)))
-        thr = MonitorThresholds(grad_l2=15.0, log_int=50.0, r=0.5, eps=0.1)
-        status, reports = blowup_monitor(st, cfg, thr)
-        assert status == "alarm"
-        by_sign = {r.sign: r for r in reports}
-        assert len(by_sign[+1].points) == 1  # floor(10 pi / 8 pi)
-        assert len(by_sign[-1].points) == 2  # floor(17 pi / 8 pi)
-        assert by_sign[+1].alarmed and by_sign[+1].covered_fraction >= 0.9
+        st = wave_state_new(grid64, u0, np.zeros((64, 64)), t0=0.25)
+        report = evaluate_report(st, cfg)
+        assert max(report.log_integrals) >= 1.0  # log_int = 1 trips too: grad_l2 wins
+        for log_int in (50.0, 1.0):
+            thr = MonitorThresholds(grad_l2=15.0, log_int=log_int, r=0.5, eps=0.1)
+            reason, reports = blowup_monitor(st, cfg, thr)
+            assert _reason(reason) == ("grad_l2", report.grad_l2, 0.25)
+            by_sign = {r.sign: r for r in reports}
+            assert len(by_sign[+1].points) == 1  # floor(10 pi / 8 pi)
+            assert len(by_sign[-1].points) == 2  # floor(17 pi / 8 pi)
+            assert by_sign[+1].alarmed and by_sign[+1].covered_fraction >= 0.9
 
     def test_subcritical_sign_skipped(self, grid64):
         cfg = CouplingConfig("sinh_gordon", (10 * np.pi, 0.0))
         u0 = bubble_field(grid64, (np.pi, np.pi), 32.0)
         st = wave_state_new(grid64, u0, np.zeros((64, 64)))
-        status, reports = blowup_monitor(st, cfg, MonitorThresholds(grad_l2=15.0))
-        assert status == "alarm"
+        reason, reports = blowup_monitor(st, cfg, MonitorThresholds(grad_l2=15.0))
+        assert _reason(reason) == ("grad_l2", evaluate_report(st, cfg).grad_l2, 0.0)
         assert [r.sign for r in reports] == [1]
 
     def test_toda_monitor_per_component(self, grid64):
         cfg = CouplingConfig("toda", (5 * np.pi, np.pi), matrix=cartan_matrix("A", 2))
         u0 = np.stack([bubble_field(grid64, (np.pi, np.pi), 32.0), np.zeros((64, 64))])
         st = wave_state_new(grid64, u0, np.zeros_like(u0))
-        status, reports = blowup_monitor(st, cfg, MonitorThresholds(grad_l2=15.0))
-        assert status == "alarm"
+        reason, reports = blowup_monitor(st, cfg, MonitorThresholds(grad_l2=15.0))
+        assert _reason(reason) == ("grad_l2", evaluate_report(st, cfg).grad_l2, 0.0)
         assert len(reports) == 1 and reports[0].component == 0
         assert len(reports[0].points) == 1  # floor(5 pi / 4 pi)
 
@@ -190,8 +198,11 @@ class TestBlowupMonitor:
         cfg = CouplingConfig("sinh_gordon", (10 * np.pi, 10 * np.pi))
         u0 = bubble_field(grid64, (1.0, 1.0), 6.0) - bubble_field(grid64, (4.0, 4.0), 6.0)
         st = wave_state_new(grid64, u0, np.zeros((64, 64)))
-        status, reports = blowup_monitor(st, cfg, MonitorThresholds(log_int=1.0))
-        assert status == "alarm"
+        reason, reports = blowup_monitor(st, cfg, MonitorThresholds(log_int=1.0))
+        # the two bubbles mirror each other, so the larger log-integral names the measure
+        logs = evaluate_report(st, cfg).log_integrals
+        name = "e^{u}" if logs[0] >= logs[1] else "e^{-u}"
+        assert _reason(reason) == (f"log_int({name})", max(logs), 0.0)
         by_sign = {r.sign: r for r in reports}
         assert np.allclose(by_sign[+1].points, [(0.98, 0.98)], atol=0.05)
         assert np.allclose(by_sign[-1].points, [(4.03, 4.03)], atol=0.05)
@@ -202,9 +213,10 @@ class TestBlowupMonitor:
         st = wave_state_new(grid64, u0, np.zeros((64, 64)))
         thr = MonitorThresholds(log_int=5.0)
         sg = CouplingConfig("sinh_gordon", (10 * np.pi, 10 * np.pi))
-        assert blowup_monitor(st, sg, thr)[0] == "alarm"
+        reason, _ = blowup_monitor(st, sg, thr)
+        assert _reason(reason) == ("log_int(e^{-u})", evaluate_report(st, sg).log_integrals[1], 0.0)
         mf = CouplingConfig("mean_field", (10 * np.pi,))
-        assert blowup_monitor(st, mf, thr) == ("quiet", [])
+        assert blowup_monitor(st, mf, thr) == (None, [])
 
 
 class TestBubbleField:

@@ -16,20 +16,23 @@ class TestWaveStateNew:
         v = np.cos(x1) * np.ones((1, 32))
         st = wave_state_new(grid32, np.zeros((32, 32)), v)
         # the sampled cosine is mean-zero up to summation round-off, so at
-        # most a ~1e-17 shift is recorded
+        # most a ~1e-17 shift is subtracted
         assert np.allclose(st.v[0], v, rtol=0, atol=1e-15)
-        assert abs(st.v_mean_shift[0]) < 1e-15
+        assert abs(grid32.mean(st.v[0])) < 1e-15
+        assert np.array_equal(st.v[0], v - grid32.mean(v))
 
     def test_constant_velocity_rejected(self, grid32):
         with pytest.raises(ValueError, match="mean"):
             wave_state_new(grid32, np.zeros((32, 32)), np.ones((32, 32)))
 
-    def test_small_mean_repaired_and_recorded(self, grid32):
+    def test_small_mean_repaired(self, grid32):
         x1, _ = grid32.mesh()
         v = np.cos(x1) * np.ones((1, 32)) + 1e-12
+        given = v.copy()
         st = wave_state_new(grid32, np.zeros((32, 32)), v)
         assert abs(grid32.mean(st.v[0])) < 1e-13
-        assert st.v_mean_shift[0] == pytest.approx(1e-12, rel=1e-3)
+        assert np.array_equal(st.v[0], v - grid32.mean(v))
+        assert np.array_equal(v, given)  # the caller's array is not repaired in place
 
     def test_shape_mismatch(self, grid32):
         with pytest.raises(ValueError, match="shape"):

@@ -13,6 +13,7 @@ from liouwave import (
     duhamel_step,
     evolve,
     linear_flow,
+    make_torus_grid,
     random_smooth_field,
     rhs_fields,
     wave_state_new,
@@ -229,6 +230,18 @@ class TestEvolve:
         plus = [r for r in traj.concentration if r.sign > 0]
         assert plus and plus[0].covered_fraction >= 0.9
         assert plus[0].alarmed
+
+    def test_monitor_balls_must_fit_the_torus(self):
+        # r = 0.5 is not below half of the 0.8 period: refused before any sample
+        g = make_torus_grid(32, 32, 0.8, 0.8)
+        x1, _ = g.mesh()
+        st = wave_state_new(g, np.zeros((32, 32)), np.cos(2 * np.pi * x1 / 0.8) * np.ones((1, 32)))
+        samples = []
+        with pytest.raises(ValueError, match="half the shortest period"):
+            evolve(st, 1.0, StepperConfig(h=1e-3, sample_every=50),
+                   CouplingConfig("mean_field", (10 * np.pi,)),
+                   monitor=MonitorThresholds(grad_l2=1.0), on_sample=lambda *a: samples.append(a))
+        assert samples == []
 
     def test_constant_state_completes_under_monitor(self, grid32):
         # u = 55 is an exact stationary solution; the monitor must stay quiet
@@ -797,3 +810,12 @@ class TestStepperConfigValidation:
                    CouplingConfig("mean_field", (0.0,)))
         with pytest.raises(ValueError):
             StepperConfig(h=0.1, sample_every=0)
+
+    def test_step_counts_are_whole_numbers(self):
+        for bad in (2.5, 0.5, float("inf"), float("nan"), "3", None):
+            for key in ("max_steps", "sample_every"):
+                with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+                    StepperConfig(h=0.1, **{key: bad})
+        cfg = StepperConfig(h=0.1, max_steps=3.0, sample_every=np.int64(2))
+        assert (cfg.max_steps, cfg.sample_every) == (3, 2)
+        assert type(cfg.max_steps) is int and type(cfg.sample_every) is int

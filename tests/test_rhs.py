@@ -85,6 +85,12 @@ class TestCouplingConfig:
         with pytest.raises(ValueError, match="matrix"):
             CouplingConfig("toda", (1.0, 2.0))
 
+    def test_scalar_families_take_no_matrix(self):
+        for family, rho in (("mean_field", (1.0,)), ("sinh_gordon", (1.0, 1.0)),
+                            ("asymmetric_sinh", (1.0, 1.0))):
+            with pytest.raises(ValueError, match="only valid for toda"):
+                CouplingConfig(family, rho, matrix=cartan_matrix("A", 3))
+
     def test_asymmetry_guard(self):
         with pytest.raises(ValueError, match="asymmetric"):
             CouplingConfig("sinh_gordon", (1.0, 1.0), a=2.0)
