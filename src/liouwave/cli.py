@@ -3,10 +3,11 @@ series, binary snapshots and checkpoint/resume.
 
 Each scenario's runner (`_RUNNERS`) computes, and returns its text outputs
 as {file name: lines}, report.txt last; `run` writes them.  Only an evolve
-run (`run` or `resume`) writes as it goes: a flushed CSV row per sample
-(`TimeseriesWriter`) and each checkpoint when its step is reached, by atomic
-renames (`_write_checkpoint`), so a killed run leaves a prefix of its rows
-and complete, resumable checkpoints.  Timing goes to telemetry.jsonl only.
+run writes as it goes: a flushed CSV row per sample (`TimeseriesWriter`)
+and each checkpoint when its step is reached, by atomic renames
+(`_write_checkpoint`), so a killed run leaves a prefix of its rows and
+complete checkpoints; `resume` is that run from a checkpoint on
+(`_run_evolve`).  Timing goes to telemetry.jsonl only.
 
 Configs are "key = value" lines with '#' comments; unknown keys are errors,
 as are keys the family does not take (`_FAMILY_KEYS` and the rho arity).
@@ -24,10 +25,10 @@ The flows' invariants are pinned by the test suite (`python -m pytest`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
-import shutil
 import struct
 import sys
 import time
@@ -481,13 +482,35 @@ def _write_checkpoint(out_dir, step_index, state, t0, e0, seed):
     _replace_atomically(base + ".json", write_meta)
 
 
-def _evolve_streaming(command, rc, state, out_dir, seed, t0, e0=None, first_step_index=0):
-    """`evolve` the config's flow from `state` with its outputs written as
-    the run goes: a CSV row per sample and each checkpoint as it is reached.
-    Appends two lines to telemetry.jsonl: a start record, flushed before
-    the first step, so that a killed run leaves a trace of what it was, and
-    an end record with the run's status and timing.  Returns (trajectory,
-    E0); E0 is the first sample's energy unless given."""
+def _append_telemetry(out_dir, record):
+    """Append one JSON line to telemetry.jsonl and close the file, so the
+    line is written out when this returns."""
+    with open(os.path.join(out_dir, "telemetry.jsonl"), "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+
+
+def _stop_text(traj):
+    return "none" if traj.stop_reason is None else str(traj.stop_reason)
+
+
+def _run_evolve(rc, grid, out_dir, seed, resume=None):
+    """`evolve` the config's flow with its outputs written as the run goes
+    (a CSV row per sample, each checkpoint as it is reached, then
+    final.lwav); returns report.txt.  telemetry.jsonl gets a start record,
+    flushed before the first step, so that a killed run leaves a trace of
+    what it was, and an end record with the run's status and timing.
+    `resume` = (checkpoint path, state, metadata) starts from a checkpoint
+    with its run's step index, t0, E0 and seed, so every file is the
+    uninterrupted run's from there on; None starts from the initial data."""
+    if resume is None:
+        state = build_initial_state(rc, grid, seed)
+        command, first_step_index, t0, e0 = "run", 0, state.t, None
+        head = ["scenario: evolve"]
+    else:
+        checkpoint, state, meta = resume
+        command, first_step_index = "resume", int(meta["step"])
+        t0, e0 = meta["t0"], float(meta["E0"])
+        head = ["scenario: resume", f"resumed_from: {checkpoint}"]
     stepper = build_stepper(rc)
     _append_telemetry(out_dir, {
         "event": "start", "command": command, "grid": [rc["grid.n1"], rc["grid.n2"]],
@@ -529,27 +552,10 @@ def _evolve_streaming(command, rc, state, out_dir, seed, t0, e0=None, first_step
         "checkpoint_write_s": spent["checkpoint"], "csv_write_s": spent["csv"],
         "scheme": stepper.scheme, "python": platform.python_version(), "numpy": np.__version__,
     })
-    return traj, csv.e0
-
-
-def _append_telemetry(out_dir, record):
-    """Append one JSON line to telemetry.jsonl and close the file, so the
-    line is written out when this returns."""
-    with open(os.path.join(out_dir, "telemetry.jsonl"), "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record) + "\n")
-
-
-def _stop_text(traj):
-    return "none" if traj.stop_reason is None else str(traj.stop_reason)
-
-
-def _run_evolve(rc, grid, out_dir, seed):
-    state = build_initial_state(rc, grid, seed)
-    traj, e0 = _evolve_streaming("run", rc, state, out_dir, seed, state.t)
-    if rc["snapshot_final"] and traj.final_state is not None:
+    if rc["snapshot_final"]:
         write_snapshot(traj.final_state, os.path.join(out_dir, "final.lwav"))
-    lines = [
-        "scenario: evolve",
+    e0 = csv.e0
+    lines = head + [
         f"status: {traj.status}",
         f"stop_reason: {_stop_text(traj)}",
         f"samples: {len(traj.times)}",
@@ -567,14 +573,14 @@ def _run_evolve(rc, grid, out_dir, seed):
 
 
 def _run_resume(checkpoint, out_dir):
-    """Continue the run a checkpoint belongs to.  The resumed run steps with
+    """Continue the run a checkpoint belongs to: `run` of its config.used
+    into out_dir, starting from the checkpoint (`_run_evolve`), so out_dir
+    gets the uninterrupted run's files from the checkpoint on and can be
+    resumed in turn, also after it was killed.  The resumed run steps with
     the config's checkpoint cadence (checkpoint steps are canonical, see
-    `propagator`) and writes the checkpoints it reaches, with the original
-    run's metadata and a copy of its config.used, so it can be resumed in
-    turn, also after it was killed.  A checkpoint without its `.json` is
-    incomplete and refused, as is one whose `.json` lacks a field or whose
-    snapshot does not hold the config's components; nothing is written
-    then."""
+    `propagator`).  A checkpoint without its `.json` is incomplete and
+    refused, as is one whose `.json` lacks a field or whose snapshot does
+    not hold the config's components; nothing is written then."""
     meta_path = os.path.splitext(checkpoint)[0] + ".json"
     if not os.path.exists(meta_path):
         raise ValueError(f"missing checkpoint metadata {meta_path}")
@@ -591,22 +597,7 @@ def _run_resume(checkpoint, out_dir):
     if state.ncomp != rc.ncomp:
         raise ValueError(f"checkpoint {checkpoint}: {state.ncomp} components, "
                          f"config.used has {rc.ncomp}")
-    os.makedirs(out_dir, exist_ok=True)
-    cfg_copy = os.path.join(out_dir, "config.used")
-    if not (os.path.exists(cfg_copy) and os.path.samefile(cfg_path, cfg_copy)):
-        shutil.copyfile(cfg_path, cfg_copy)
-    traj, _ = _evolve_streaming(
-        "resume", rc, state, out_dir, meta["seed"], meta["t0"], float(meta["E0"]),
-        first_step_index=int(meta["step"]),
-    )
-    _write_lines(os.path.join(out_dir, "report.txt"), [
-        "scenario: resume",
-        f"resumed_from: {checkpoint}",
-        f"status: {traj.status}",
-        f"stop_reason: {_stop_text(traj)}",
-        f"final_t: {_fmt(traj.times[-1])}",
-    ])
-    return 0
+    return run(rc, out_dir, meta["seed"], resume=(checkpoint, state, meta))
 
 
 def _run_picard_verify(rc, grid, out_dir, seed):
@@ -705,18 +696,21 @@ _RUNNERS = {
 }
 
 
-def run(rc: RunConfig, out_dir: str, seed=None) -> int:
+def run(rc: RunConfig, out_dir: str, seed=None, resume=None) -> int:
     """Execute the configured scenario, writing into out_dir: config.used
     first, then what the scenario streams as it runs (evolve: telemetry.jsonl,
     the CSV rows and the checkpoints, then final.lwav), then the text files
-    its runner returns, report.txt last.  Returns 0: numeric stop conditions
-    are recorded statuses, and config and I/O failures raise, which `main`
-    turns into exit code 1."""
+    its runner returns, report.txt last.  `resume` (see `_run_evolve`)
+    continues an evolve run from a checkpoint.  Returns 0: numeric stop
+    conditions are recorded statuses, and config and I/O failures raise,
+    which `main` turns into exit code 1."""
     os.makedirs(out_dir, exist_ok=True)
     seed = rc["seed"] if seed is None else int(seed)
     config_text = rc.text(overrides={"seed": seed})
     _write_lines(os.path.join(out_dir, "config.used"), config_text.splitlines())
-    outputs = _RUNNERS[rc["scenario"]](rc, build_grid(rc), out_dir, seed)
+    runner = _RUNNERS[rc["scenario"]] if resume is None else functools.partial(
+        _run_evolve, resume=resume)
+    outputs = runner(rc, build_grid(rc), out_dir, seed)
     for name, lines in outputs.items():
         _write_lines(os.path.join(out_dir, name), lines)
     return 0

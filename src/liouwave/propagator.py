@@ -87,7 +87,7 @@ class StepperConfig:
     dealias: bool = True
     max_abs_u: float = 200.0
     max_grad_l2: float = 1e6
-    max_steps: int = 10_000_000
+    max_steps: int = 10_000_000  # counted from the run's start (step index 0), resumes included
     sample_every: int = 1
 
     def __post_init__(self):
@@ -254,14 +254,16 @@ def evolve(
     non_finite          NaN: the predictor's forcing    previous slice  non-finite
     non_finite          max|u|: u, vh or forcing at u   new slice       non-finite
     max_abs_u           max|u|, if its sample set none  new slice       blow-up-alarm
-    max_steps           the steps taken, at the cap     last slice      max-steps
+    max_steps           the run's global step count     last slice      max-steps
 
     `first_step_index`/`t_origin` keep sampling phase and time arithmetic
-    identical when a run is resumed from a checkpoint.  `on_sample(t,
-    report)` is called with each sample as it is taken; at each checkpoint
-    step (global step index a multiple of `snapshot_every`, 0 for none)
-    `on_checkpoint(step_index, state)` gets the live state, to be cloned by
-    a caller that keeps it.  An exception raised by a callback ends the run
+    identical when a run is resumed from a checkpoint, and `max_steps`
+    counts from the run's start: this call takes at most `max_steps -
+    first_step_index` steps, none from a state at or past the cap.
+    `on_sample(t, report)` is called with each sample as it is taken; at
+    each checkpoint step (global step index a multiple of `snapshot_every`,
+    0 for none) `on_checkpoint(step_index, state)` gets the live state, to
+    be cloned by a caller that keeps it.  An exception raised by a callback ends the run
     and propagates.  A monitor whose balls do not fit the torus
     (`blowup.ball_fits`) is refused before the first sample.
     """
@@ -273,8 +275,9 @@ def evolve(
     step = Stepper(g, stepper.h, cfg, stepper.scheme, stepper.dealias)
     t0 = state.t if t_origin is None else float(t_origin)
     n_steps = int(round((T - state.t) / stepper.h))
-    capped = n_steps > stepper.max_steps
-    n_steps = min(n_steps, stepper.max_steps)
+    cap = max(0, stepper.max_steps - first_step_index)
+    capped = n_steps > cap
+    n_steps = min(n_steps, cap)
 
     traj = Trajectory()
     u, v = state.u.copy(), state.v.copy()
@@ -343,7 +346,7 @@ def evolve(
             if reason is None and hard_stop:
                 reason = StopReason("max_abs_u", max_u, t)
     if reason is None and capped:
-        reason = StopReason("max_steps", n_steps, t)
+        reason = StopReason("max_steps", first_step_index + n_steps, t)
 
     traj.stop_reason = reason
     traj.final_state = current_state().clone()

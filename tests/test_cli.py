@@ -38,6 +38,12 @@ def _telemetry(out_dir):
     return start, end
 
 
+def _report(out_dir):
+    """The "key: value" lines of out_dir's report.txt."""
+    lines = (out_dir / "report.txt").read_text().splitlines()
+    return dict(line.split(": ", 1) for line in lines if ": " in line)
+
+
 class TestParseConfig:
     def test_valid_minimal(self):
         rc = cli.parse_config("family = sinh_gordon\nrho1 = 12.566\nrho2 = 12.566\n")
@@ -381,6 +387,65 @@ class TestRunScenarios:
                 assert (d / f"{name}.json").read_bytes() == (out / f"{name}.json").read_bytes()
         assert (second / "config.used").read_bytes() == (out / "config.used").read_bytes()
 
+    def test_resume_keeps_the_step_cap(self, tmp_path):
+        # stop.max_steps counts the run's steps: a resume from step 40 stops
+        # at step 60 with the uninterrupted rows, and one from step 60 at once
+        cfg = tmp_path / "capped.cfg"
+        cfg.write_text(BASE_CFG.replace("T = 0.5", "T = 1.0") + "stop.max_steps = 60\n")
+        out = tmp_path / "full"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        report = _report(out)
+        assert (report["status"], report["final_t"]) == ("max-steps", "0.6")
+        rows = (out / "timeseries.csv").read_bytes().split(b"\n")[1:-1]
+        for step in (40, 60):
+            res = tmp_path / f"resumed{step}"
+            ckpt = out / f"checkpoint_step{step:08d}.lwav"
+            assert cli.main(["resume", str(ckpt), "--out", str(res)]) == 0
+            resumed = _report(res)
+            for key in ("status", "stop_reason", "final_t"):
+                assert resumed[key] == report[key], key
+            assert (res / "timeseries.csv").read_bytes().split(b"\n")[1:-1] == rows[step // 10:]
+            assert (res / "final.lwav").read_bytes() == (out / "final.lwav").read_bytes()
+
+    def test_resumed_alarm_reports_the_run_stop(self, tmp_path):
+        # a resume's report carries the uninterrupted run's stop and the
+        # detector's points, and its final snapshot is the run's
+        cfg = tmp_path / "alarm.cfg"
+        cfg.write_text(f"family = mean_field\nrho1 = {40 * np.pi!r}\ngrid.n1 = 64\ngrid.n2 = 64\n"
+                       "T = 1.0\nh = 0.0005\ninit.kind = bubble\nbubble.lam = 1.5\n"
+                       "checkpoint_every = 200\n")
+        out, res = tmp_path / "full", tmp_path / "resumed"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        ckpt = out / "checkpoint_step00000600.lwav"
+        assert cli.main(["resume", str(ckpt), "--out", str(res)]) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        resumed = (res / "report.txt").read_text().splitlines()
+        assert resumed[:2] == ["scenario: resume", f"resumed_from: {ckpt}"]
+        report = _report(out)
+        assert report["status"] == "blow-up-alarm"
+        assert report["stop_reason"].startswith("log_int(e^{u}) = ")
+        for key in ("status", "stop_reason", "final_t", "E0"):
+            assert _report(res)[key] == report[key], key
+        (points,) = [line for line in lines if line.startswith("concentration ")]
+        assert points.count("), (") == 4  # five points
+        assert [line for line in resumed if line.startswith("concentration ")] == [points]
+        assert (res / "final.lwav").read_bytes() == (out / "final.lwav").read_bytes()
+
+    def test_resume_into_the_run_directory(self, tmp_path):
+        # --out names the run's own directory, whose config.used is the one
+        # the resume reads: it stays as it was, and the CSV is rewritten
+        # from the checkpoint on
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG)
+        out = tmp_path / "full"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        config_used = (out / "config.used").read_bytes()
+        rows = (out / "timeseries.csv").read_bytes().split(b"\n")[1:-1]
+        ckpt = out / "checkpoint_step00000020.lwav"
+        assert cli.main(["resume", str(ckpt), "--out", str(out)]) == 0
+        assert (out / "config.used").read_bytes() == config_used
+        assert (out / "timeseries.csv").read_bytes().split(b"\n")[1:-1] == rows[2:]
+
     def test_streamed_csv_matches_trajectory_csv(self, tmp_path):
         # the rows streamed during the run are the bytes write_timeseries
         # makes from the finished trajectory
@@ -399,7 +464,7 @@ class TestRunScenarios:
         rc = cli.parse_config(BASE_CFG + "stop.max_abs_u = 0.1\n")
         out = tmp_path / "stopped"
         assert cli.run(rc, str(out)) == 0
-        report = dict(line.split(": ", 1) for line in (out / "report.txt").read_text().splitlines())
+        report = _report(out)
         assert report["status"] == "blow-up-alarm"
         condition, _, rest = report["stop_reason"].partition(" = ")
         value, _, t = rest.partition(" at t = ")

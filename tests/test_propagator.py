@@ -260,6 +260,28 @@ class TestEvolve:
         assert (traj.stop_reason.condition, traj.stop_reason.value) == ("max_steps", 7.0)
         assert traj.stop_reason.t == traj.times[-1]
 
+    @pytest.mark.parametrize("first", [40, 60])
+    def test_max_steps_counts_from_the_run_start(self, grid32, monkeypatch, first):
+        # a run resumed at global step 40 takes the 20 steps left to the cap
+        # of 60, one at the cap takes none; both stop at the cap's time with
+        # the global step count, as the uninterrupted run does
+        cfg = CouplingConfig("mean_field", (0.0,))
+        st = evolve(eigenmode_state(grid32), first * 1e-2, StepperConfig(h=1e-2), cfg).final_state
+        steps = []
+        real = prop.Stepper.step
+
+        def counted(self, uh, vh, fh):
+            steps.append(1)
+            return real(self, uh, vh, fh)
+
+        monkeypatch.setattr(prop.Stepper, "step", counted)
+        traj = evolve(st, 1.0, StepperConfig(h=1e-2, max_steps=60, sample_every=10), cfg,
+                      first_step_index=first, t_origin=0.0)
+        assert len(steps) == 60 - first
+        assert traj.status == STATUS_MAXSTEPS
+        assert (traj.stop_reason.condition, traj.stop_reason.value) == ("max_steps", 60.0)
+        assert traj.stop_reason.t == traj.times[-1] == traj.final_state.t == pytest.approx(0.6)
+
     def test_stop_reason_max_abs_u(self, grid32):
         # the hard stop on |u| names the condition, the value that tripped it
         # and the time of the step it was read on
